@@ -29,7 +29,7 @@ _DTYPES = {"f8": "<f8", "i8": "<i8"}
 
 
 class ArtifactMismatch(RuntimeError):
-    """A container's magic, version, or vocabulary hash does not match."""
+    """A container's magic, version, or vocabulary hash does not match, or it is malformed."""
 
 
 def _atomic_write(path, data: bytes) -> None:
@@ -60,6 +60,11 @@ def save_container(path, magic: bytes, meta: dict, arrays: list[tuple[str, np.nd
 
 
 def load_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container written by ``save_container``.
+
+    Anything that does not parse as one (a cut file, a corrupt header, an
+    array running past the end) raises ``ArtifactMismatch``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:4] != magic:
@@ -68,19 +73,27 @@ def load_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if version != FORMAT_VERSION:
         raise ArtifactMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
     header_len = struct.unpack("<Q", data[8:16])[0]
-    header = json.loads(data[16:16 + header_len].decode("utf-8"))
-    offset = 16 + header_len
-    arrays = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(_DTYPES[entry["dtype"]])
-        count = int(np.prod(entry["shape"], dtype=np.int64))
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(data[offset:offset + nbytes], dtype=dtype).copy()
-        arrays[entry["name"]] = arr.reshape(entry["shape"])
-        offset += nbytes
+    if 16 + header_len > len(data):
+        raise ArtifactMismatch(f"{path}: header of {header_len} bytes runs past the end of the file")
+    try:
+        header = json.loads(data[16:16 + header_len].decode("utf-8"))
+        meta, entries = header["meta"], header["arrays"]
+        offset = 16 + header_len
+        arrays = {}
+        for entry in entries:
+            dtype = np.dtype(_DTYPES[entry["dtype"]])
+            count = int(np.prod(entry["shape"], dtype=np.int64))
+            nbytes = count * dtype.itemsize
+            if count < 0 or offset + nbytes > len(data):
+                raise ArtifactMismatch(f"{path}: array {entry['name']!r} runs past the end of the file")
+            arr = np.frombuffer(data[offset:offset + nbytes], dtype=dtype).copy()
+            arrays[entry["name"]] = arr.reshape(entry["shape"])
+            offset += nbytes
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+        raise ArtifactMismatch(f"{path}: corrupt container header ({type(exc).__name__}: {exc})") from None
     if offset != len(data):
         raise ArtifactMismatch(f"{path}: {len(data) - offset} trailing bytes")
-    return header["meta"], arrays
+    return meta, arrays
 
 
 # ---------------------------------------------------------------------------

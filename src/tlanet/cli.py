@@ -1,7 +1,8 @@
 """Command-line surface: train, evaluate, augment, gradcheck, demo-recurrence.
 
 Exit codes: 0 success, 1 check or augmentation failure, 2 configuration
-error, 3 numeric divergence during training, 4 artifact incompatibility.
+error, 3 numeric divergence during training, 4 artifact incompatibility or
+corruption.
 """
 
 from __future__ import annotations

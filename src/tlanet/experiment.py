@@ -198,6 +198,7 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None) -> dict:
 
 
 def _load_eval_dataset(path, bundle: ckpt.CheckpointBundle, language: str):
+    path = resolve_dataset_path(str(path))
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == ckpt.DATASET_MAGIC:

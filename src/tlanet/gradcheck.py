@@ -125,31 +125,24 @@ def ops_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     fd("op.mul", lambda: _binary(rng, T.mul))
     fd("op.scale", lambda: _unary(rng, lambda x: T.scale(x, -1.7)))
     fd("op.add_bias", lambda: _bias(rng))
-    fd("op.matmul", lambda: _matmul(rng))
     fd("op.linear", lambda: _linear(rng))
     fd("op.tanh", lambda: _unary(rng, T.tanh))
     fd("op.sigmoid", lambda: _unary(rng, T.sigmoid))
     fd("op.relu", lambda: _unary(rng, T.relu, offset=0.3))
-    fd("op.softmax", lambda: _softmax(rng))
     fd("op.softmax_rows", lambda: _softmax_rows(rng))
     fd("op.concat", lambda: _concat(rng))
-    fd("op.slice_cols", lambda: _unary2(rng, lambda x: T.slice_cols(x, 1, 3)))
-    fd("op.reshape", lambda: _unary2(rng, lambda x: T.reshape(x, (x.size,))))
-    fd("op.pick", lambda: _pick(rng))
+    fd("op.weighted_sum", lambda: _weighted_sum(rng))
+    fd("op.reshape", lambda: _unary(rng, lambda x: T.reshape(x, (x.size,))))
+    fd("op.total_sum", lambda: _unary(rng, T.total_sum))
     fd("op.take_per_row", lambda: _take_per_row(rng))
     fd("op.clip_log", lambda: _clip_log(rng))
-    fd("op.repeat_vector", lambda: _repeat(rng))
     fd("op.lookup_rows", lambda: _lookup(rng))
+    fd("op.dropout", lambda: _dropout(rng))
     return checks
 
 
 def _unary(rng, op, offset=0.0):
     x = T.Tensor(rng.uniform(-2, 2, (3, 4)) + offset, requires_grad=True)
-    return [x], lambda: T.total_sum(T.mul(op(x), op(x)))
-
-
-def _unary2(rng, op):
-    x = _rand(rng, (3, 4))
     return [x], lambda: T.total_sum(T.mul(op(x), op(x)))
 
 
@@ -163,20 +156,9 @@ def _bias(rng):
     return [m, b], lambda: T.total_sum(T.tanh(T.add_bias(m, b)))
 
 
-def _matmul(rng):
-    a, b = _rand(rng, (3, 4)), _rand(rng, (4, 2))
-    return [a, b], lambda: T.total_sum(T.tanh(T.matmul(a, b)))
-
-
 def _linear(rng):
     x, w = _rand(rng, (3, 4)), _rand(rng, (2, 4))
     return [x, w], lambda: T.total_sum(T.tanh(T.linear(x, w)))
-
-
-def _softmax(rng):
-    x = _rand(rng, (5,))
-    c = T.constant(rng.uniform(-1, 1, (5,)))
-    return [x], lambda: T.total_sum(T.mul(T.softmax(x), c))
 
 
 def _softmax_rows(rng):
@@ -190,9 +172,11 @@ def _concat(rng):
     return [a, b], lambda: T.total_sum(T.tanh(T.concat([a, b], axis=1)))
 
 
-def _pick(rng):
-    x = _rand(rng, (6,))
-    return [x], lambda: T.mul(T.pick(x, 2), T.pick(x, 2))
+def _weighted_sum(rng):
+    # unequal attention rows, so a weight applied to the wrong row shows
+    attn = _rand(rng, (3, 3))
+    parts = [_rand(rng, (3, 4)) for _ in range(3)]
+    return [attn, *parts], lambda: T.total_sum(T.tanh(T.weighted_sum(attn, parts)))
 
 
 def _take_per_row(rng):
@@ -206,16 +190,16 @@ def _clip_log(rng):
     return [x], lambda: T.total_sum(T.clip_log(x))
 
 
-def _repeat(rng):
-    v = _rand(rng, (4,))
-    c = T.constant(rng.uniform(-1, 1, (3, 4)))
-    return [v], lambda: T.total_sum(T.mul(T.repeat_vector(v, 3), c))
-
-
 def _lookup(rng):
     table = _rand(rng, (6, 3))
     ids = np.array([1, 2, 2, 5])
     return [table], lambda: T.total_sum(T.tanh(T.lookup_rows(table, ids, padding_idx=0)))
+
+
+def _dropout(rng):
+    x = _rand(rng, (3, 4))
+    seed = int(rng.integers(2**31))  # every rebuild of the loss draws the same mask
+    return [x], lambda: T.total_sum(T.tanh(T.dropout(x, 0.5, np.random.default_rng(seed))))
 
 
 def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
@@ -249,19 +233,6 @@ def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
         return check_gradients(loss_fn, list(p.tensors()))
 
     checks.append(("layer.stacked_lstm", stack_check, LAYER_TOLERANCE))
-
-    def bilstm_check():
-        fwd = L.StackedLSTMParams.init(input_size=3, hidden_size=3, num_layers=1, dropout=0.0, rng=rng)
-        bwd = L.StackedLSTMParams.init(input_size=3, hidden_size=3, num_layers=1, dropout=0.0, rng=rng)
-        xs = [T.constant(rng.uniform(-1, 1, (1, 3))) for _ in range(4)]
-
-        def loss_fn():
-            seq = L.bilstm_forward(fwd, bwd, xs, training=False)
-            return T.total_sum(T.tanh(seq[0]))
-
-        return check_gradients(loss_fn, list(fwd.tensors()) + list(bwd.tensors()))
-
-    checks.append(("layer.bilstm", bilstm_check, LAYER_TOLERANCE))
 
     def dense_check():
         p = L.DenseParams.init(3, 4, rng=rng)

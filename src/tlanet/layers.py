@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor, repeat_vector  # noqa: F401  (repeat_vector re-exported)
+from .tensor import ShapeError, Tensor
 
 GATES = ("input", "forget", "output", "candidate")
 
@@ -183,22 +183,8 @@ def lstm_forward(p: StackedLSTMParams, seq: list[Tensor], training: bool = False
     return layer_in, finals
 
 
-def bilstm_forward(fwd: StackedLSTMParams, bwd: StackedLSTMParams, seq: list[Tensor],
-                   training: bool = False, rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Run one stack forward and one over the reversed sequence, concatenated per step.
-
-    Step t of the output is ``concat(fwd_h[t], bwd_h[T-1-t])``, so the output
-    width is exactly twice the per-direction hidden size.
-    """
-    if fwd.hidden_size != bwd.hidden_size:
-        raise ShapeError(f"direction hidden sizes differ: {fwd.hidden_size} vs {bwd.hidden_size}")
-    fwd_seq, _ = lstm_forward(fwd, seq, training, rng)
-    bwd_seq, _ = lstm_forward(bwd, list(reversed(seq)), training, rng)
-    return [T.concat([f, b], axis=1) for f, b in zip(fwd_seq, reversed(bwd_seq))]
-
-
 def repeat_sequence(v: Tensor, times: int) -> list[Tensor]:
-    """Sequence form of ``repeat_vector``: the same rows tensor at every step.
+    """The same rows tensor at every one of ``times`` steps (a repeat vector).
 
     Reusing one tensor per step is equivalent to tiling plus a summed
     backward rule, because the tape accumulates the adjoints of each use.

@@ -61,15 +61,6 @@ class ClassifierConfig:
 
 
 @dataclass
-class ModelOutput:
-    """Per-example prediction: a distribution, and for autoencoders a reconstruction error."""
-
-    probs: np.ndarray
-    recon_loss: float | None = None
-    decision: object | None = None  # class index or wisdomnet.REJECTED once a head is attached
-
-
-@dataclass
 class BatchOutput:
     """Graph-side results of one batched forward pass."""
 
@@ -127,12 +118,7 @@ def meta_learner_combine(m: MetaLearnerParams, inputs: list[Tensor]) -> MetaFusi
             raise ShapeError(f"meta learner widths differ: {[x.shape for x in inputs]}")
     scores = T.concat([T.linear(e, m.score) for e in inputs], axis=1)
     attn = T.softmax_rows(scores)
-    ones_row = T.constant(np.ones((1, width)))
-    convex = None
-    for k, e in enumerate(inputs):
-        tile = T.matmul(T.slice_cols(attn, k, k + 1), ones_row)
-        term = T.mul(tile, e)
-        convex = term if convex is None else T.add(convex, term)
+    convex = T.weighted_sum(attn, inputs)
     h = convex
     for e in inputs:
         h = T.tanh(T.add_bias(T.add(T.linear(e, m.w_in), T.linear(h, m.w_rec)), m.bias))
@@ -217,14 +203,6 @@ class _SequenceModel:
     def training_loss(self, out: BatchOutput, targets, recon_weight: float = 0.5) -> Tensor:
         return self.losses(out, targets, recon_weight)[0]
 
-    def predict(self, token_ids) -> ModelOutput:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError("predict takes a non-empty 1-D token id sequence")
-        out = self.forward_batch(ids[None, :], training=False)
-        recon = float(out.recon_per_example[0]) if out.recon_per_example is not None else None
-        return ModelOutput(out.probs.array[0].copy(), recon)
-
     def predict_batch(self, tokens, chunk: int = 256):
         """Inference over many examples: (probs, features, recon-per-example) arrays."""
         ids = _check_tokens(tokens)
@@ -302,9 +280,8 @@ class BiLstmClassifier(_SequenceModel):
                       rng: np.random.Generator | None = None) -> BatchOutput:
         ids = _check_tokens(tokens)
         seq = self._embed_steps(ids)
-        # classify from the final state of each direction (both have read
-        # the whole sequence); bilstm_forward's per-step pairing is for
-        # sequence-shaped consumers
+        # classify from the final state of each direction: both have read
+        # the whole sequence
         _, fwd_finals = L.lstm_forward(self.fwd, seq, training, rng)
         _, bwd_finals = L.lstm_forward(self.bwd, list(reversed(seq)), training, rng)
         features = T.concat([fwd_finals[-1].h, bwd_finals[-1].h], axis=1)
@@ -461,20 +438,6 @@ def build_model(kind: str, cfg: ClassifierConfig) -> _SequenceModel:
     if kind not in table:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(table)}")
     return table[kind](cfg)
-
-
-def predict_with_rejection(model: _SequenceModel, head, token_ids,
-                           theta: float | None = None) -> ModelOutput:
-    """Predict one example and let the attached head accept or reject it."""
-    from .wisdomnet import wisdomnet_classify
-
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("predict takes a non-empty 1-D token id sequence")
-    out = model.forward_batch(ids[None, :], training=False)
-    recon = float(out.recon_per_example[0]) if out.recon_per_example is not None else None
-    decision = wisdomnet_classify(head, out.features.array[0], theta)
-    return ModelOutput(out.probs.array[0].copy(), recon, decision)
 
 
 def train_step(model: _SequenceModel, optimizer, tokens, labels,

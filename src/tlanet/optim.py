@@ -1,4 +1,4 @@
-"""Losses and optimizers: categorical cross-entropy, reconstruction losses, Adam, decayed SGD."""
+"""Losses and optimizers: categorical cross-entropy, reconstruction losses, Adam, a linear-decay schedule."""
 
 from __future__ import annotations
 
@@ -18,13 +18,6 @@ class TrainingDivergence(RuntimeError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message if step is None else f"{message} (step {step})")
         self.step = step
-
-
-def cce(probs: Tensor, target: int) -> Tensor:
-    """Categorical cross-entropy of one distribution: ``-log(max(p[target], 1e-12))``."""
-    if len(probs.shape) != 1:
-        raise ShapeError(f"cce expects a rank-1 distribution, got {probs.shape}")
-    return T.scale(T.clip_log(T.pick(probs, target), PROB_FLOOR), -1.0)
 
 
 def cce_rows(probs: Tensor, targets) -> Tensor:
@@ -81,12 +74,6 @@ class LinearDecaySchedule:
             return self.end
         frac = step / self.total_steps
         return self.start + (self.end - self.start) * frac
-
-
-def sgd_step(schedule: LinearDecaySchedule, step: int, params: list[Tensor]) -> None:
-    lr = schedule.rate(step)
-    for p in params:
-        p.values -= lr * p.grad
 
 
 @dataclass

@@ -2,13 +2,17 @@
 
 Everything is 64-bit. A ``Tensor`` stores a flat value buffer plus a flat
 gradient buffer of the same length; ``shape`` describes how the buffer is
-viewed by the ops. Ops record themselves on the innermost active ``Tape``
-(entered with ``with Tape() as tape:``); outside a tape they just compute,
-which is the inference path.
+viewed by the ops. The gradient buffer is allocated lazily, on its first
+read or write, and ``Tape.backward`` writes gradients into leaf tensors
+only (those no record on that tape produced), so op outputs never carry
+one. Ops record themselves on the innermost active ``Tape`` (entered with
+``with Tape() as tape:``); outside a tape they just compute, which is the
+inference path.
 
-The only broadcast anywhere is ``add_bias`` (a bias row added to every row
-of a matrix). Every other op requires exact shape agreement, which keeps
-each backward rule small enough to audit by eye.
+The only broadcasts are ``add_bias`` (a bias row added to every row of a
+matrix) and ``weighted_sum`` (one attention weight per row scaling that
+row of a part). Every other op requires exact shape agreement, which
+keeps each backward rule small enough to audit by eye.
 """
 
 from __future__ import annotations
@@ -29,23 +33,18 @@ __all__ = [
     "mul",
     "scale",
     "add_bias",
-    "matmul",
     "linear",
     "activation",
     "tanh",
     "sigmoid",
     "relu",
-    "softmax",
     "softmax_rows",
     "concat",
-    "slice_cols",
+    "weighted_sum",
     "reshape",
     "total_sum",
-    "mean_all",
-    "pick",
     "take_per_row",
     "clip_log",
-    "repeat_vector",
     "lookup_rows",
     "dropout",
     "backward",
@@ -71,11 +70,11 @@ class Tensor:
     """A dense float64 array with an accumulated gradient buffer.
 
     ``values`` and ``grad`` are flat 1-D arrays of identical length
-    ``prod(shape)``. ``grad`` starts at zero and only changes through
-    ``Tape.backward`` (which adds into it) or ``zero_grad``.
+    ``prod(shape)``. ``grad`` reads as zeros until ``Tape.backward`` adds
+    into it; it is allocated on first access and dropped by ``zero_grad``.
     """
 
-    __slots__ = ("shape", "values", "grad", "requires_grad", "name")
+    __slots__ = ("shape", "values", "_grad", "requires_grad", "name")
 
     def __init__(self, values, shape=None, *, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(values, dtype=np.float64)
@@ -87,15 +86,19 @@ class Tensor:
             raise ShapeError(f"shape {shape} does not match {flat.size} values")
         self.shape = shape
         self.values = flat
-        self.grad = np.zeros_like(flat)
+        self._grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
 
     @classmethod
     def zeros(cls, shape, *, requires_grad: bool = False, name: str | None = None) -> "Tensor":
-        shape = _as_shape(shape)
-        n = int(np.prod(shape, dtype=np.int64))
-        return cls(np.zeros(n), shape, requires_grad=requires_grad, name=name)
+        return cls(np.zeros(shape), requires_grad=requires_grad, name=name)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
 
     @property
     def array(self) -> np.ndarray:
@@ -116,7 +119,7 @@ class Tensor:
         return float(self.values[0])
 
     def zero_grad(self) -> None:
-        self.grad[:] = 0.0
+        self._grad = None
 
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
@@ -178,29 +181,27 @@ class Tape:
         self._records.append(_Record(out, inputs, rule))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into ``grad`` for every tensor reachable from ``loss``.
+        """Add d(loss)/d(tensor) into ``grad`` for every leaf tensor reachable from ``loss``.
 
+        A leaf is a tensor that no record on this tape produced: a
+        parameter, a constant, or an output of another tape. Op outputs'
+        adjoints live only for the walk, so their ``grad`` stays unallocated.
         Gradients add across calls: running backward twice doubles them.
         """
         if loss.values.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-        adjoints: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        adjoints: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones(loss.shape))}
         for rec in reversed(self._records):
-            g_out = adjoints.pop(id(rec.out), None)
-            if g_out is None:
+            entry = adjoints.pop(id(rec.out), None)
+            if entry is None:
                 continue
-            rec.out.grad += g_out.reshape(-1)
-            holders.pop(id(rec.out), None)
-            for tin, g in zip(rec.inputs, rec.rule(g_out)):
+            for tin, g in zip(rec.inputs, rec.rule(entry[1])):
                 if g is None:
                     continue
-                key = id(tin)
-                prev = adjoints.get(key)
-                adjoints[key] = g if prev is None else prev + g
-                holders[key] = tin
-        for key, g in adjoints.items():
-            holders[key].grad += g.reshape(-1)
+                prev = adjoints.get(id(tin))
+                adjoints[id(tin)] = (tin, g if prev is None else prev[1] + g)
+        for leaf, g in adjoints.values():
+            leaf.grad[:] += g.reshape(-1)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -209,10 +210,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def _emit(values: np.ndarray, shape, inputs: tuple[Tensor, ...], rule) -> Tensor:
-    out = Tensor(values, shape)
+    """Wrap an op's freshly computed array; the output takes ownership, so no copy."""
+    out = Tensor.__new__(Tensor)
+    out.shape = shape
+    out.values = values.reshape(-1)
+    out._grad = None
+    out.name = None
     tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+    out.requires_grad = tape is not None and any(t.requires_grad for t in inputs)
+    if out.requires_grad:
         tape._record(out, inputs, rule)
     return out
 
@@ -253,20 +259,6 @@ def add_bias(m: Tensor, bias: Tensor) -> Tensor:
     if len(m.shape) != 2 or len(bias.shape) != 1 or m.shape[1] != bias.shape[0]:
         raise ShapeError(f"add_bias: matrix {m.shape} incompatible with bias {bias.shape}")
     return _emit(m.array + bias.array, m.shape, (m, bias), lambda g: (g, g.sum(axis=0)))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} disagree")
-    av, bv = a.array.copy(), b.array.copy()
-    out = av @ bv
-
-    def rule(g):
-        return g @ bv.T, av.T @ g
-
-    return _emit(out, out.shape, (a, b), rule)
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
@@ -322,18 +314,6 @@ def _stable_softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Stable softmax of a rank-1 tensor (max-subtraction before exp)."""
-    if len(x.shape) != 1 or x.shape[0] < 1:
-        raise ShapeError(f"softmax needs a non-empty rank-1 tensor, got {x.shape}")
-    y = _stable_softmax(x.array)
-
-    def rule(g, y=y):
-        return (y * (g - float(g @ y)),)
-
-    return _emit(y, x.shape, (x,), rule)
-
-
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise stable softmax of a rank-2 tensor."""
     if len(x.shape) != 2 or x.shape[1] < 1:
@@ -368,48 +348,41 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _emit(out, out.shape, tuple(parts), rule)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if len(x.shape) != 2 or not 0 <= start < stop <= x.shape[1]:
-        raise ShapeError(f"slice_cols[{start}:{stop}] invalid for shape {x.shape}")
-    out = x.array[:, start:stop].copy()
+def weighted_sum(attn: Tensor, parts: list[Tensor]) -> Tensor:
+    """``sum_k attn[:, k:k+1] * parts[k]``: each row mixes the parts by its own weights.
 
-    def rule(g, shape=x.shape, start=start, stop=stop):
-        gx = np.zeros(shape)
-        gx[:, start:stop] = g
-        return (gx,)
+    ``attn`` is (rows, K) and every part is (rows, width); backward gives
+    each weight column the row-wise dot of the adjoint with its part.
+    """
+    if len(attn.shape) != 2 or attn.shape[1] != len(parts):
+        raise ShapeError(f"weighted_sum: attention {attn.shape} does not weight {len(parts)} parts")
+    for p in parts:
+        if len(p.shape) != 2 or p.shape[0] != attn.shape[0] or p.shape != parts[0].shape:
+            raise ShapeError(f"weighted_sum: parts {[q.shape for q in parts]} "
+                             f"do not fit attention {attn.shape}")
+    av = attn.array.copy()
+    pv = [p.array.copy() for p in parts]
+    out = av[:, 0:1] * pv[0]
+    for k in range(1, len(pv)):
+        out += av[:, k:k + 1] * pv[k]
 
-    return _emit(out, out.shape, (x,), rule)
+    def rule(g):
+        g_attn = np.stack([(g * v).sum(axis=1) for v in pv], axis=1)
+        return (g_attn, *(av[:, k:k + 1] * g for k in range(len(pv))))
+
+    return _emit(out, out.shape, (attn, *parts), rule)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = _as_shape(shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    return _emit(x.values.reshape(shape), shape, (x,), lambda g, s=x.shape: (g.reshape(s),))
+    return _emit(x.values.reshape(shape).copy(), shape, (x,), lambda g, s=x.shape: (g.reshape(s),))
 
 
 def total_sum(x: Tensor) -> Tensor:
     """Sum of all entries; the scalar reduction every loss bottoms out in."""
     return _emit(np.asarray(x.values.sum()), (), (x,), lambda g, s=x.shape: (np.full(s, float(g)),))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(total_sum(x), 1.0 / x.size)
-
-
-def pick(x: Tensor, index: int) -> Tensor:
-    if len(x.shape) != 1:
-        raise ShapeError(f"pick needs a rank-1 tensor, got {x.shape}")
-    index = int(index)
-    if not 0 <= index < x.shape[0]:
-        raise IndexError(f"pick index {index} out of range for length {x.shape[0]}")
-
-    def rule(g, n=x.shape[0], i=index):
-        gx = np.zeros(n)
-        gx[i] = float(g)
-        return (gx,)
-
-    return _emit(np.asarray(x.values[index]), (), (x,), rule)
 
 
 def take_per_row(x: Tensor, indices) -> Tensor:
@@ -420,7 +393,7 @@ def take_per_row(x: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
         raise IndexError(f"take_per_row: index out of range for {x.shape[1]} columns")
     rows = np.arange(x.shape[0])
-    out = x.array[rows, idx].copy()
+    out = x.array[rows, idx]
 
     def rule(g, shape=x.shape, rows=rows, idx=idx):
         gx = np.zeros(shape)
@@ -442,17 +415,6 @@ def clip_log(x: Tensor, floor: float = 1e-12) -> Tensor:
     return _emit(out, x.shape, (x,), rule)
 
 
-def repeat_vector(v: Tensor, times: int) -> Tensor:
-    """Tile a rank-1 vector into ``times`` identical rows; backward sums the rows."""
-    if len(v.shape) != 1:
-        raise ShapeError(f"repeat_vector needs a rank-1 tensor, got {v.shape}")
-    times = int(times)
-    if times < 1:
-        raise ValueError(f"repeat_vector needs times >= 1, got {times}")
-    out = np.tile(v.array, (times, 1))
-    return _emit(out, out.shape, (v,), lambda g: (g.sum(axis=0),))
-
-
 def lookup_rows(table: Tensor, ids, padding_idx: int | None = None) -> Tensor:
     """Gather rows ``table[ids]``; backward scatter-adds into exactly those rows.
 
@@ -464,7 +426,7 @@ def lookup_rows(table: Tensor, ids, padding_idx: int | None = None) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         bad = int(idx[(idx < 0) | (idx >= table.shape[0])][0])
         raise IndexError(f"token id {bad} outside table with {table.shape[0]} rows")
-    out = table.array[idx].copy()
+    out = table.array[idx]
 
     def rule(g, shape=table.shape, idx=idx, pad=padding_idx):
         gt = np.zeros(shape)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import unicodedata
 from collections import Counter
@@ -165,10 +164,6 @@ def load_trac2(path, language: str = "english", name: str | None = None) -> Data
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return _parse_trac2(fh, language, name or str(path))
-
-
-def parse_trac2_text(content: str, language: str = "english", name: str = "<string>") -> DatasetSplit:
-    return _parse_trac2(io.StringIO(content), language, name)
 
 
 def _parse_trac2(fh, language: str, name: str) -> DatasetSplit:

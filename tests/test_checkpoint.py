@@ -51,7 +51,21 @@ class TestContainer:
         CK.save_container(path, CK.MODEL_MAGIC, {}, [("x", np.ones(4))])
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(Exception):
+        with pytest.raises(CK.ArtifactMismatch, match="past the end"):
+            CK.load_container(path, CK.MODEL_MAGIC)
+
+    def test_header_length_past_end(self, tmp_path):
+        path = tmp_path / "box.bin"
+        CK.save_container(path, CK.MODEL_MAGIC, {"note": "hi"}, [("x", np.ones(4))])
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(CK.ArtifactMismatch, match="header"):
+            CK.load_container(path, CK.MODEL_MAGIC)
+
+    def test_unknown_dtype_rejected(self, tmp_path):
+        path = tmp_path / "box.bin"
+        CK.save_container(path, CK.MODEL_MAGIC, {}, [("x", np.ones(4))])
+        path.write_bytes(path.read_bytes().replace(b'"dtype":"f8"', b'"dtype":"q8"'))
+        with pytest.raises(CK.ArtifactMismatch, match="corrupt"):
             CK.load_container(path, CK.MODEL_MAGIC)
 
     def test_duplicate_names_rejected(self, tmp_path):
@@ -93,11 +107,10 @@ class TestModelCheckpoint:
         path = tmp_path / "ae.tlac"
         CK.save_checkpoint(path, "lstm-ae", cfg, vocab, model, make_head())
         bundle = CK.load_checkpoint(path)
-        ids = [2, 3, 4]
-        a = model.predict(ids)
-        b = bundle.model.predict(ids)
-        assert np.array_equal(a.probs, b.probs)
-        assert a.recon_loss == b.recon_loss
+        probs_a, _, recon_a = model.predict_batch([[2, 3, 4]])
+        probs_b, _, recon_b = bundle.model.predict_batch([[2, 3, 4]])
+        assert np.array_equal(probs_a, probs_b)
+        assert np.array_equal(recon_a, recon_b)
 
     def test_vocab_hash_guard(self, tmp_path):
         vocab = make_vocab()

@@ -221,6 +221,44 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(bad),
                          "--out", str(tmp_path / "nope")]) == 4
 
+    def test_readme_command_with_builtin_dataset(self, trained):
+        ckpt, _, tmp_path = trained
+        out = tmp_path / "demo-eval"
+        assert cli.main(["evaluate", "--checkpoint", str(ckpt),
+                         "--dataset", "builtin:synthetic-test", "--theta", "0.5",
+                         "--out", str(out), "--sweep"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["dataset"] == "builtin:synthetic-test"
+        assert (out / "threshold_sweep.csv").exists()
+
+    @pytest.mark.parametrize("corruption", [
+        "cut_in_header", "cut_in_array", "one_byte_short", "header_not_utf8", "no_arrays_key"])
+    def test_malformed_checkpoint_exit_4(self, trained, corruption, capsys):
+        ckpt, _, tmp_path = trained
+        data = ckpt.read_bytes()
+        header_end = 16 + int.from_bytes(data[8:16], "little")
+        if corruption == "cut_in_header":
+            assert header_end > 40
+            broken = data[:40]
+        elif corruption == "cut_in_array":
+            assert len(data) // 2 > header_end
+            broken = data[:len(data) // 2]
+        elif corruption == "one_byte_short":
+            broken = data[:-1]
+        elif corruption == "header_not_utf8":
+            broken = data[:20] + b"\xff\xfe" + data[22:]
+        else:
+            assert data.count(b'"arrays":') == 1
+            broken = data.replace(b'"arrays":', b'"arrayz":')
+        bad = tmp_path / "broken.tlac"
+        bad.write_bytes(broken)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--checkpoint", str(bad),
+                         "--dataset", "builtin:synthetic-test", "--out", str(tmp_path / "x")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_word2vec_checkpoint_evaluates(self, tmp_path):
         from tlanet.synthetic import builtin_dataset_path
         config, _ = small_config(

@@ -1,4 +1,4 @@
-"""Layer blocks: LSTM cell and stacks, bidirectional wrapper, dense, embedding."""
+"""Layer blocks: LSTM cell and stacks, the two BiLSTM directions, dense, embedding."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tlanet import layers as L
+from tlanet import models as M
 from tlanet import tensor as T
 from tlanet.gradcheck import check_gradients
 
@@ -111,6 +112,12 @@ class TestStackedLSTM:
             L.StackedLSTMParams([zero_cell(2, 3), zero_cell(2, 3)], dropout=0.0)
 
 
+def bilstm_model(hidden_size, seed=10):
+    cfg = M.ClassifierConfig(vocab_size=10, embed_dim=4, hidden_size=hidden_size, num_layers=1,
+                             dropout=0.0, num_classes=3, max_len=5, seed=seed)
+    return M.BiLstmClassifier(cfg)
+
+
 class TestBiLSTM:
     def test_palindrome_symmetry(self):
         rng = np.random.default_rng(10)
@@ -124,40 +131,36 @@ class TestBiLSTM:
             assert np.allclose(f.array, b.array, atol=1e-15)
 
     def test_zero_params_width(self):
-        fwd = L.StackedLSTMParams([zero_cell(2, 3)], dropout=0.0)
-        bwd = L.StackedLSTMParams([zero_cell(2, 3)], dropout=0.0)
-        seq = [T.Tensor([[1.0, 2.0]]) for _ in range(4)]
-        out = L.bilstm_forward(fwd, bwd, seq)
-        assert all(h.shape == (1, 6) for h in out)
-        assert all(np.all(h.array == 0.0) for h in out)
+        model = bilstm_model(hidden_size=3)
+        for stack in (model.fwd, model.bwd):
+            for t in stack.tensors():
+                t.values[:] = 0.0
+        features = model.forward_batch(np.array([[2, 3, 4, 5]])).features
+        assert features.shape == (1, 6)
+        assert np.all(features.array == 0.0)
 
     def test_step_pairing_reverses_backward_direction(self):
-        rng = np.random.default_rng(11)
-        fwd = L.StackedLSTMParams.init(2, 2, 1, 0.0, rng)
-        bwd = L.StackedLSTMParams.init(2, 2, 1, 0.0, rng)
-        seq = [T.Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(3)]
-        out = L.bilstm_forward(fwd, bwd, seq)
-        bwd_seq, _ = L.lstm_forward(bwd, list(reversed(seq)))
-        for t in range(3):
-            assert np.array_equal(out[t].array[:, 2:], bwd_seq[2 - t].array)
+        model = bilstm_model(hidden_size=2, seed=11)
+        ids = np.array([[2, 7, 3]])
+        features = model.forward_batch(ids).features
+        seq = model._embed_steps(ids)
+        _, bwd_finals = L.lstm_forward(model.bwd, list(reversed(seq)))
+        assert np.array_equal(features.array[:, 2:], bwd_finals[-1].h.array)
 
     def test_hidden_size_mismatch(self):
-        fwd = L.StackedLSTMParams([zero_cell(2, 3)], dropout=0.0)
-        bwd = L.StackedLSTMParams([zero_cell(2, 4)], dropout=0.0)
-        with pytest.raises(T.ShapeError, match="hidden sizes differ"):
-            L.bilstm_forward(fwd, bwd, [T.Tensor([[1.0, 2.0]])])
+        model = bilstm_model(hidden_size=3)
+        model.bwd = L.StackedLSTMParams([zero_cell(4, 4)], dropout=0.0)
+        with pytest.raises(T.ShapeError, match="does not match"):
+            model.forward_batch(np.array([[2, 3]]))
 
     def test_gradients_both_directions(self):
-        rng = np.random.default_rng(12)
-        fwd = L.StackedLSTMParams.init(2, 2, 1, 0.0, rng)
-        bwd = L.StackedLSTMParams.init(2, 2, 1, 0.0, rng)
-        xs = [T.constant(rng.uniform(-1, 1, (1, 2))) for _ in range(3)]
+        model = bilstm_model(hidden_size=2, seed=12)
+        tokens = np.array([[2, 4, 6]])
 
         def loss_fn():
-            out = L.bilstm_forward(fwd, bwd, xs)
-            return T.total_sum(T.tanh(out[0]))
+            return T.total_sum(T.tanh(model.forward_batch(tokens).features))
 
-        err = check_gradients(loss_fn, list(fwd.tensors()) + list(bwd.tensors()))
+        err = check_gradients(loss_fn, list(model.fwd.tensors()) + list(model.bwd.tensors()))
         assert err <= 1e-4
 
 

@@ -18,6 +18,12 @@ def small_config(**overrides):
     return M.ClassifierConfig(**base)
 
 
+def predict_probs(model, ids):
+    """Class probabilities of one example, through the batched path."""
+    probs, _, _ = model.predict_batch([ids])
+    return probs[0]
+
+
 def zero_tensors(tensors):
     for t in tensors:
         t.values[:] = 0.0
@@ -28,8 +34,8 @@ class TestLstmClassifier:
         model = M.LstmClassifier(small_config())
         zero_tensors(model.trunk.tensors())
         model.head.bias.values[:] = [1.0, 0.0, -1.0]
-        a = model.predict([2, 3, 4]).probs
-        b = model.predict([5, 6, 7, 8]).probs
+        a = predict_probs(model, [2, 3, 4])
+        b = predict_probs(model, [5, 6, 7, 8])
         expected = np.exp(np.array([1.0, 0.0, -1.0]) - 1.0)
         expected /= expected.sum()
         assert np.allclose(a, expected, atol=1e-12)
@@ -37,15 +43,15 @@ class TestLstmClassifier:
 
     def test_output_is_three_way_distribution(self):
         model = M.LstmClassifier(small_config())
-        out = model.predict([2, 5, 7])
-        assert out.probs.shape == (3,)
-        assert abs(out.probs.sum() - 1.0) <= 1e-9
-        assert out.recon_loss is None
+        probs, _, recon = model.predict_batch([[2, 5, 7]])
+        assert probs.shape == (1, 3)
+        assert abs(probs.sum() - 1.0) <= 1e-9
+        assert recon is None
 
     def test_empty_input_rejected(self):
         model = M.LstmClassifier(small_config())
         with pytest.raises(ValueError):
-            model.predict([])
+            model.predict_batch([[]])
 
     def test_end_to_end_gradient(self):
         model = M.LstmClassifier(small_config())
@@ -63,22 +69,21 @@ class TestBiLstmClassifier:
         model = M.BiLstmClassifier(small_config())
         zero_tensors(model.fwd.tensors())
         zero_tensors(model.bwd.tensors())
-        out = model.predict([2, 3])
-        assert np.allclose(out.probs, 1.0 / 3.0, atol=1e-12)
+        assert np.allclose(predict_probs(model, [2, 3]), 1.0 / 3.0, atol=1e-12)
 
     def test_reversed_input_with_swapped_directions(self):
         # swapping the direction stacks and the matching halves of the head
         # weights must leave the class probabilities bit-identical
         model = M.BiLstmClassifier(small_config(seed=11))
         tokens = [2, 7, 3, 9, 4]
-        baseline = model.predict(tokens).probs
+        baseline = predict_probs(model, tokens)
 
         model.fwd, model.bwd = model.bwd, model.fwd
         w = model.head.weights.array
         h = model.cfg.hidden_size
         swapped = np.concatenate([w[:, h:], w[:, :h]], axis=1)
         model.head.weights.values[:] = swapped.reshape(-1)
-        mirrored = model.predict(list(reversed(tokens))).probs
+        mirrored = predict_probs(model, list(reversed(tokens)))
         assert np.array_equal(baseline, mirrored)
 
     def test_gradient(self):
@@ -265,7 +270,7 @@ class TestTraining:
             for _ in range(5):
                 length = int(rng.integers(1, 6))
                 ids = rng.integers(0, 10, length)
-                probs = model.predict(ids).probs
+                probs = predict_probs(model, ids)
                 assert (probs >= 0.0).all()
                 assert abs(probs.sum() - 1.0) <= 1e-9
 
@@ -280,7 +285,8 @@ class TestTraining:
         head = W.WisdomNetHead(
             T.Tensor(rng.uniform(-1, 1, (3, model.feature_dim))),
             T.Tensor(np.zeros(3)))
-        accepted = M.predict_with_rejection(model, head, [2, 3, 4], theta=0.0)
-        assert accepted.decision in (0, 1, 2)
-        refused = M.predict_with_rejection(model, head, [2, 3, 4], theta=1.0)
-        assert W.is_rejected(refused.decision)
+        _, feats, _ = model.predict_batch([[2, 3, 4]])
+        [accepted] = W.classify_batch(head, feats, theta=0.0)
+        assert accepted in (0, 1, 2)
+        [refused] = W.classify_batch(head, feats, theta=1.0)
+        assert W.is_rejected(refused)

@@ -1,4 +1,4 @@
-"""Losses and optimizers: cross-entropies, reconstruction loss, Adam, decayed SGD."""
+"""Losses and optimizers: cross-entropies, reconstruction loss, Adam, the decay schedule."""
 
 import math
 
@@ -10,23 +10,28 @@ from tlanet import tensor as T
 from tlanet.gradcheck import check_gradients
 
 
+def cce_one(probs, target):
+    """``cce_rows`` of a one-row batch."""
+    return optim.cce_rows(T.Tensor([probs]), [target])
+
+
 class TestCCE:
     def test_confident_correct_is_zero(self):
-        loss = optim.cce(T.Tensor([1.0, 0.0, 0.0]), 0)
+        loss = cce_one([1.0, 0.0, 0.0], 0)
         assert loss.item() == 0.0
 
     def test_uniform_three_way(self):
-        loss = optim.cce(T.Tensor([1 / 3, 1 / 3, 1 / 3]), 1)
+        loss = cce_one([1 / 3, 1 / 3, 1 / 3], 1)
         assert math.isclose(loss.item(), math.log(3.0), rel_tol=1e-12)
 
     def test_zero_probability_clipped(self):
-        loss = optim.cce(T.Tensor([0.0, 1.0]), 0)
+        loss = cce_one([0.0, 1.0], 0)
         assert math.isclose(loss.item(), -math.log(1e-12), rel_tol=1e-12)
         assert math.isclose(loss.item(), 27.631, rel_tol=1e-4)
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            optim.cce(T.Tensor([0.5, 0.5]), 3)
+            cce_one([0.5, 0.5], 3)
 
     def test_nonnegative_and_zero_iff_confident(self):
         rng = np.random.default_rng(0)
@@ -34,7 +39,7 @@ class TestCCE:
             raw = rng.uniform(0.01, 1.0, 4)
             probs = raw / raw.sum()
             target = int(rng.integers(4))
-            loss = optim.cce(T.Tensor(probs), target).item()
+            loss = cce_one(probs, target).item()
             assert loss >= 0.0
             assert (loss == 0.0) == (probs[target] == 1.0)
 
@@ -44,7 +49,7 @@ class TestCCE:
         probs = raw / raw.sum(axis=1, keepdims=True)
         targets = rng.integers(0, 3, 4)
         batch = optim.cce_rows(T.Tensor(probs), targets).item()
-        singles = [optim.cce(T.Tensor(row), t).item() for row, t in zip(probs, targets)]
+        singles = [cce_one(row, t).item() for row, t in zip(probs, targets)]
         assert math.isclose(batch, np.mean(singles), rel_tol=1e-12)
 
 
@@ -191,15 +196,3 @@ class TestSchedule:
         sched = optim.LinearDecaySchedule(0.025, 0.001, 10)
         with pytest.raises(ValueError):
             sched.rate(11)
-
-    def test_sgd_zero_grad_unchanged(self):
-        p = T.Tensor([1.0, 2.0], requires_grad=True)
-        before = p.values.copy()
-        optim.sgd_step(optim.LinearDecaySchedule(0.1, 0.01, 5), 2, [p])
-        assert np.array_equal(p.values, before)
-
-    def test_sgd_applies_scheduled_rate(self):
-        p = T.Tensor([1.0], requires_grad=True)
-        p.grad[:] = 2.0
-        optim.sgd_step(optim.LinearDecaySchedule(0.1, 0.0, 10), 5, [p])
-        assert math.isclose(p.values[0], 1.0 - 0.05 * 2.0, rel_tol=1e-12)

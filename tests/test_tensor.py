@@ -1,12 +1,14 @@
 """Tensor core: primitive ops, tape semantics, and the scalar recurrence."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from tlanet import layers as L
 from tlanet import tensor as T
-from tlanet.gradcheck import check_gradients
+from tlanet.gradcheck import check_gradients, ops_suite
 
 
 class TestTensorBasics:
@@ -29,27 +31,29 @@ class TestTensorBasics:
 
 
 class TestMatmul:
+    """The matrix product, through ``linear`` (``x @ w.T``)."""
+
     def test_identity(self):
         m = T.Tensor([[2.0, -1.0], [0.5, 3.0]])
         eye = T.Tensor(np.eye(2))
-        assert np.array_equal(T.matmul(eye, m).array, m.array)
+        assert np.array_equal(T.linear(m, eye).array, m.array)
 
     def test_hand_product(self):
         a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = T.Tensor([[1.0], [1.0]])
-        assert np.array_equal(T.matmul(a, b).array, [[3.0], [7.0]])
+        w = T.Tensor([[1.0, 1.0]])
+        assert np.array_equal(T.linear(a, w).array, [[3.0], [7.0]])
 
     def test_shape_error_names_both_shapes(self):
         a = T.Tensor(np.zeros((2, 3)))
-        b = T.Tensor(np.zeros((2, 3)))
-        with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(a, b)
+        w = T.Tensor(np.zeros((2, 4)))
+        with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
+            T.linear(a, w)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        a = T.Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        b = T.Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
-        err = check_gradients(lambda: T.total_sum(T.matmul(a, b)), [a, b])
+        x = T.Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+        w = T.Tensor(rng.uniform(-2, 2, (2, 4)), requires_grad=True)
+        err = check_gradients(lambda: T.total_sum(T.linear(x, w)), [x, w])
         assert err <= 1e-6
 
 
@@ -78,9 +82,14 @@ class TestActivations:
         assert err <= 1e-6
 
 
+def softmax_row(values):
+    """``softmax_rows`` of a one-row batch, returned as a flat array."""
+    return T.softmax_rows(T.Tensor([values])).array[0]
+
+
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax(T.Tensor([0.0, 0.0, 0.0])).array
+        out = softmax_row([0.0, 0.0, 0.0])
         assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
 
     def test_shift_invariance(self):
@@ -88,25 +97,25 @@ class TestSoftmax:
         for _ in range(20):
             x = rng.uniform(-5, 5, 6)
             c = rng.uniform(-100, 100)
-            a = T.softmax(T.Tensor(x)).array
-            b = T.softmax(T.Tensor(x + c)).array
+            a = softmax_row(x)
+            b = softmax_row(x + c)
             assert np.allclose(a, b, atol=1e-12)
 
     def test_sum_is_one(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             x = rng.uniform(-50, 50, rng.integers(1, 9))
-            out = T.softmax(T.Tensor(x)).array
+            out = softmax_row(x)
             assert abs(out.sum() - 1.0) <= 1e-12
             assert (out > 0).all()
 
     def test_extreme_logit_is_stable(self):
-        out = T.softmax(T.Tensor([100.0, 0.0, 0.0])).array
+        out = softmax_row([100.0, 0.0, 0.0])
         assert out[0] >= 1.0 - 1e-40
 
     def test_empty_rejected(self):
         with pytest.raises(T.ShapeError):
-            T.softmax(T.Tensor(np.zeros(0)))
+            T.softmax_rows(T.Tensor(np.zeros((1, 0))))
 
 
 class TestConcat:
@@ -132,6 +141,41 @@ class TestConcat:
         tape.backward(loss)
         assert np.array_equal(a.grad, [1.0, 1.0])
         assert np.array_equal(b.grad, [1.0])
+
+
+class TestWeightedSum:
+    def test_hand_value(self):
+        attn = T.Tensor([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0]])
+        parts = [T.Tensor([[1.0, 2.0], [3.0, 4.0]]),
+                 T.Tensor([[5.0, 6.0], [7.0, 8.0]]),
+                 T.Tensor([[2.0, 2.0], [9.0, 9.0]])]
+        out = T.weighted_sum(attn, parts)
+        assert np.array_equal(out.array, [[2.0, 3.0], [14.0, 16.0]])
+
+    def test_matches_tiled_products(self):
+        rng = np.random.default_rng(5)
+        attn = rng.uniform(0, 1, (4, 3))
+        parts = [rng.uniform(-1, 1, (4, 5)) for _ in range(3)]
+        out = T.weighted_sum(T.Tensor(attn), [T.Tensor(p) for p in parts])
+        expected = sum(np.tile(attn[:, k:k + 1], (1, 5)) * parts[k] for k in range(3))
+        assert np.array_equal(out.array, expected)
+
+    def test_shape_errors(self):
+        part = T.Tensor(np.zeros((2, 4)))
+        with pytest.raises(T.ShapeError, match="does not weight"):
+            T.weighted_sum(T.Tensor(np.zeros((2, 3))), [part, part])
+        with pytest.raises(T.ShapeError, match="do not fit"):
+            T.weighted_sum(T.Tensor(np.zeros((3, 2))), [part, part])
+        with pytest.raises(T.ShapeError, match="do not fit"):
+            T.weighted_sum(T.Tensor(np.zeros((2, 2))), [part, T.Tensor(np.zeros((2, 3)))])
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(6)
+        attn = T.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+        parts = [T.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True) for _ in range(3)]
+        err = check_gradients(lambda: T.total_sum(T.tanh(T.weighted_sum(attn, parts))),
+                              [attn, *parts])
+        assert err <= 1e-6
 
 
 class TestBackward:
@@ -177,6 +221,21 @@ class TestBackward:
         y = T.mul(x, x)
         assert not y.requires_grad
 
+    def test_grads_land_on_leaves_only(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.Tape() as tape:
+            y = T.mul(x, x)
+            loss = T.total_sum(y)
+        tape.backward(loss)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert np.all(y.grad == 0.0)
+
+    def test_op_output_owns_a_fresh_buffer(self):
+        x = T.Tensor([[1.0, 2.0]])
+        y = T.reshape(x, (2,))
+        y.values[:] = 0.0
+        assert np.array_equal(x.array, [[1.0, 2.0]])
+
     def test_shared_input_used_twice(self):
         x = T.Tensor([3.0], requires_grad=True)
         with T.Tape() as tape:
@@ -187,20 +246,20 @@ class TestBackward:
 
 class TestMiscOps:
     def test_repeat_vector(self):
-        v = T.Tensor([1.0, 2.0])
-        out = T.repeat_vector(v, 3)
-        assert np.array_equal(out.array, [[1.0, 2.0]] * 3)
-        single = T.repeat_vector(v, 1)
-        assert np.array_equal(single.array, [[1.0, 2.0]])
+        v = T.Tensor([[1.0, 2.0]])
+        out = L.repeat_sequence(v, 3)
+        assert [step.array.tolist() for step in out] == [[[1.0, 2.0]]] * 3
+        single = L.repeat_sequence(v, 1)
+        assert [step.array.tolist() for step in single] == [[[1.0, 2.0]]]
 
     def test_repeat_vector_rejects_zero(self):
         with pytest.raises(ValueError):
-            T.repeat_vector(T.Tensor([1.0]), 0)
+            L.repeat_sequence(T.Tensor([[1.0]]), 0)
 
     def test_repeat_vector_gradient_sums(self):
-        v = T.Tensor([1.0, 2.0], requires_grad=True)
+        v = T.Tensor([[1.0, 2.0]], requires_grad=True)
         with T.Tape() as tape:
-            loss = T.total_sum(T.repeat_vector(v, 4))
+            loss = T.total_sum(T.concat(L.repeat_sequence(v, 4), axis=0))
         tape.backward(loss)
         assert np.array_equal(v.grad, [4.0, 4.0])
 
@@ -243,6 +302,20 @@ class TestMiscOps:
         for _ in range(trials):
             total += T.dropout(x, 0.2, rng).array.mean()
         assert abs(total / trials - 1.0) <= 0.02
+
+
+class TestGradcheckCoverage:
+    # public names of the tensor module that are not differentiable ops;
+    # activation is the dispatcher behind tanh, sigmoid and relu, which are
+    # each checked under their own name
+    NOT_OPS = {"backward", "scalar_recurrence", "recurrence_trajectory", "recurrence_regime",
+               "activation"}
+
+    def test_every_differentiable_op_has_a_check(self):
+        ops = {name for name in T.__all__
+               if inspect.isfunction(getattr(T, name)) and name not in self.NOT_OPS}
+        checked = {name.removeprefix("op.") for name, _, _ in ops_suite()}
+        assert ops - checked == set()
 
 
 class TestScalarRecurrence:
