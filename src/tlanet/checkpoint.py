@@ -4,6 +4,12 @@ Layout: a 4-byte magic, a little-endian u32 format version, a u64 header
 length, a JSON header (sorted keys), then the raw array payload in header
 order. Arrays are dumped as little-endian bytes, so save/load round-trips
 are bitwise exact.
+
+Version 2 stores each LSTM layer as packed ``w_gates``/``u_gates``/``b_gates``
+arrays. Version 1 stored twelve per-gate arrays per layer (``w_input``,
+``u_input``, ``b_input``, ``w_forget``, ...); the loader packs those, and
+the Adam moments saved beside them, so a v1 checkpoint still evaluates and
+resumes. Dataset caches are the same in both versions.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ClassifierConfig, build_model
+from .layers import GATES
+from .models import MODEL_KINDS, ClassifierConfig, build_model
 from .text import Vocabulary
 from .wisdomnet import WisdomNetHead
 from .word2vec import Word2VecModel
@@ -23,7 +30,8 @@ from . import tensor as T
 
 MODEL_MAGIC = b"TLAC"
 DATASET_MAGIC = b"TLAD"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 _DTYPES = {"f8": "<f8", "i8": "<i8"}
 
@@ -60,18 +68,22 @@ def save_container(path, magic: bytes, meta: dict, arrays: list[tuple[str, np.nd
 
 
 def load_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container written by ``save_container``.
+    """Read a container written by ``save_container`` (any readable version).
 
     Anything that does not parse as one (a cut file, a corrupt header, an
     array running past the end) raises ``ArtifactMismatch``.
     """
+    return _read_container(path, magic)[1:]
+
+
+def _read_container(path, magic: bytes) -> tuple[int, dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:4] != magic:
         raise ArtifactMismatch(f"{path}: not a {magic.decode()} container")
     version = struct.unpack("<I", data[4:8])[0]
-    if version != FORMAT_VERSION:
-        raise ArtifactMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    if version not in READABLE_VERSIONS:
+        raise ArtifactMismatch(f"{path}: format version {version}, expected one of {READABLE_VERSIONS}")
     header_len = struct.unpack("<Q", data[8:16])[0]
     if 16 + header_len > len(data):
         raise ArtifactMismatch(f"{path}: header of {header_len} bytes runs past the end of the file")
@@ -93,7 +105,7 @@ def load_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise ArtifactMismatch(f"{path}: corrupt container header ({type(exc).__name__}: {exc})") from None
     if offset != len(data):
         raise ArtifactMismatch(f"{path}: {len(data) - offset} trailing bytes")
-    return meta, arrays
+    return version, meta, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +126,46 @@ class CheckpointBundle:
     @property
     def vocab_hash(self) -> str:
         return self.meta["vocab_hash"]
+
+
+def _v1_parts(name: str) -> list[str]:
+    """The v1 arrays whose concatenation (in gate order) is the v2 array ``name``."""
+    stem, _, leaf = name.rpartition(".")
+    if leaf in ("w_gates", "u_gates", "b_gates"):
+        return [f"{stem}.{leaf[0]}_{gate}" for gate in GATES]
+    return [name]
+
+
+def _v1_order(names: list[str]) -> list[str]:
+    """v1 parameter names in v1 order, which also indexed the Adam moments.
+
+    A v1 layer listed its arrays per gate (``w_input``, ``u_input``,
+    ``b_input``, ``w_forget``, ...); v2 lists ``w_gates``, ``u_gates``,
+    ``b_gates``.
+    """
+    order = []
+    for name in names:
+        stem, _, leaf = name.rpartition(".")
+        if leaf == "w_gates":
+            order += [f"{stem}.{kind}_{gate}" for gate in GATES for kind in "wub"]
+        elif leaf not in ("u_gates", "b_gates"):
+            order.append(name)
+    return order
+
+
+def _upgrade_v1(path, arrays: dict[str, np.ndarray], names: list[str]) -> dict[str, np.ndarray]:
+    """Pack a v1 checkpoint's per-gate parameters and Adam moments into the v2 layout."""
+    index = {name: i for i, name in enumerate(_v1_order(names))}
+    moments = [kind for kind in "mv" if f"adam.{kind}.0" in arrays]
+    moved = {f"adam.{kind}.{i}" for kind in moments for i in range(len(index))} | set(index)
+    out = {key: arr for key, arr in arrays.items() if key not in moved}
+    for j, name in enumerate(names):
+        parts = _v1_parts(name)
+        out[name] = np.concatenate([_array(arrays, part, path) for part in parts])
+        for kind in moments:
+            out[f"adam.{kind}.{j}"] = np.concatenate(
+                [_array(arrays, f"adam.{kind}.{index[part]}", path) for part in parts])
+    return out
 
 
 def _vocab_meta(vocab: Vocabulary) -> dict:
@@ -165,24 +217,60 @@ def save_checkpoint(path, kind: str, config: ClassifierConfig, vocab: Vocabulary
     save_container(path, MODEL_MAGIC, meta, arrays)
 
 
+def _array(arrays: dict[str, np.ndarray], name: str, path) -> np.ndarray:
+    if name not in arrays:
+        raise ArtifactMismatch(f"{path}: checkpoint missing array {name!r}")
+    return arrays[name]
+
+
+def _meta_field(meta, key: str, path, parse):
+    """``parse(meta[key])``, with a missing or ill-typed value raised as ``ArtifactMismatch``."""
+    try:
+        return parse(meta[key])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ArtifactMismatch(f"{path}: checkpoint meta {key!r} is missing or malformed "
+                               f"({type(exc).__name__}: {exc})") from None
+
+
+def _of_type(kind):
+    def parse(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return value
+
+    return parse
+
+
+def _model_kind(value) -> str:
+    if value not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {value!r}")
+    return value
+
+
 def load_checkpoint(path) -> CheckpointBundle:
-    meta, arrays = load_container(path, MODEL_MAGIC)
-    config = ClassifierConfig(**meta["config"])
-    vocab = _vocab_from_meta(meta["vocab"])
-    if vocab.content_hash() != meta["vocab_hash"]:
+    version, meta, arrays = _read_container(path, MODEL_MAGIC)
+    kind = _meta_field(meta, "kind", path, _model_kind)
+    config = _meta_field(meta, "config", path, lambda c: ClassifierConfig(**c))
+    vocab = _meta_field(meta, "vocab", path, _vocab_from_meta)
+    vocab_hash = _meta_field(meta, "vocab_hash", path, _of_type(str))
+    _meta_field(meta, "extras", path, _of_type(dict))
+    if vocab.content_hash() != vocab_hash:
         raise ArtifactMismatch(f"{path}: stored vocabulary does not match its hash")
-    kind = meta["kind"]
     if kind == "word2vec-features":
+        w2v = _meta_field(meta, "w2v", path, lambda m: {
+            key: int(m[key]) for key in ("embed_dim", "negatives", "padding_idx")})
         model = Word2VecModel(
-            embed_dim=int(meta["w2v"]["embed_dim"]),
-            negatives=int(meta["w2v"]["negatives"]),
-            w_in=arrays["w2v.w_in"].copy(),
-            w_out=arrays["w2v.w_out"].copy(),
-            sampling=arrays["w2v.sampling"].copy(),
-            padding_idx=int(meta["w2v"]["padding_idx"]),
+            embed_dim=w2v["embed_dim"],
+            negatives=w2v["negatives"],
+            w_in=_array(arrays, "w2v.w_in", path).copy(),
+            w_out=_array(arrays, "w2v.w_out", path).copy(),
+            sampling=_array(arrays, "w2v.sampling", path).copy(),
+            padding_idx=w2v["padding_idx"],
         )
     else:
         model = build_model(kind, config)
+        if version == 1:
+            arrays = _upgrade_v1(path, arrays, [name for name, _ in model.named_tensors()])
         for name, t in model.named_tensors():
             if name not in arrays:
                 raise ArtifactMismatch(f"{path}: checkpoint missing parameter {name!r}")
@@ -194,9 +282,9 @@ def load_checkpoint(path) -> CheckpointBundle:
     head = None
     if "head" in meta:
         head = WisdomNetHead(
-            T.Tensor(arrays["head.weights"], requires_grad=True, name="head.w"),
-            T.Tensor(arrays["head.bias"], requires_grad=True, name="head.b"),
-            float(meta["head"]["threshold"]),
+            T.Tensor(_array(arrays, "head.weights", path), requires_grad=True, name="head.w"),
+            T.Tensor(_array(arrays, "head.bias", path), requires_grad=True, name="head.b"),
+            _meta_field(meta, "head", path, lambda h: float(h["threshold"])),
         )
     return CheckpointBundle(kind, config, vocab, model, head, meta, arrays)
 

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, field
 
 from .models import MODEL_KINDS
-from .synthetic import resolve_dataset_path
+from .synthetic import builtin_dataset_path
 
 SCHEMA_VERSION = 1
 
@@ -20,6 +20,19 @@ class ConfigError(ValueError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"config field {field_path!r}: {message}")
         self.field_path = field_path
+
+
+def resolve_dataset_path(path: str, field_path: str) -> str:
+    """Pass real paths through; map ``builtin:<name>`` to the bundled files.
+
+    An unknown builtin name is a ``ConfigError`` on ``field_path``.
+    """
+    if not path.startswith("builtin:"):
+        return path
+    try:
+        return builtin_dataset_path(path.split(":", 1)[1])
+    except ValueError as exc:
+        raise ConfigError(field_path, str(exc)) from None
 
 
 def _require(mapping: dict, key: str, kind, path: str, default=None, required=False):
@@ -112,7 +125,7 @@ class ExperimentConfig:
         per_lang = self.datasets.get(self.language)
         if not per_lang or "train" not in per_lang:
             raise ConfigError(f"datasets.{self.language}.train", "is required to train")
-        return resolve_dataset_path(per_lang["train"])
+        return resolve_dataset_path(per_lang["train"], f"datasets.{self.language}.train")
 
     def validate_train_inputs(self) -> None:
         path = self.train_path()
@@ -126,7 +139,7 @@ class ExperimentConfig:
             for split in ("train", "test"):
                 if split not in per_split:
                     raise ConfigError(f"augmentation.raw.{lang}.{split}", "is required")
-                path = resolve_dataset_path(per_split[split])
+                path = resolve_dataset_path(per_split[split], f"augmentation.raw.{lang}.{split}")
                 if not os.path.exists(path):
                     raise ConfigError(f"augmentation.raw.{lang}.{split}",
                                       f"path does not exist: {path}")

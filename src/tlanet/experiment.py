@@ -23,8 +23,7 @@ from . import optim
 from . import text as TXT
 from . import wisdomnet as W
 from . import word2vec as W2V
-from .config import ConfigError, ExperimentConfig
-from .synthetic import resolve_dataset_path
+from .config import ConfigError, ExperimentConfig, resolve_dataset_path
 
 CHECKPOINT_FILE = "checkpoint.tlac"
 MANIFEST_FILE = "manifest.json"
@@ -198,7 +197,7 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None) -> dict:
 
 
 def _load_eval_dataset(path, bundle: ckpt.CheckpointBundle, language: str):
-    path = resolve_dataset_path(str(path))
+    path = resolve_dataset_path(str(path), "--dataset")
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == ckpt.DATASET_MAGIC:
@@ -300,8 +299,10 @@ def run_augment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     cfg.validate_augment_inputs()
     raw_train, raw_test = {}, {}
     for lang, per_split in cfg.augmentation.raw.items():
-        raw_train[lang] = TXT.load_trac2(resolve_dataset_path(per_split["train"]), language=lang)
-        raw_test[lang] = TXT.load_trac2(resolve_dataset_path(per_split["test"]), language=lang)
+        raw_train[lang] = TXT.load_trac2(
+            resolve_dataset_path(per_split["train"], f"augmentation.raw.{lang}.train"), language=lang)
+        raw_test[lang] = TXT.load_trac2(
+            resolve_dataset_path(per_split["test"], f"augmentation.raw.{lang}.test"), language=lang)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     report = A.ReconciliationReport()

@@ -138,6 +138,9 @@ def ops_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     fd("op.clip_log", lambda: _clip_log(rng))
     fd("op.lookup_rows", lambda: _lookup(rng))
     fd("op.dropout", lambda: _dropout(rng))
+    fd("op.lstm_layer", lambda: _lstm_layers(rng, layers=1))
+    fd("op.lstm_layer[2 layers]", lambda: _lstm_layers(rng, layers=2, last_only=True))
+    fd("op.lstm_layer[repeat vector]", lambda: _lstm_layers(rng, layers=1, repeat=True))
     return checks
 
 
@@ -202,33 +205,46 @@ def _dropout(rng):
     return [x], lambda: T.total_sum(T.tanh(T.dropout(x, 0.5, np.random.default_rng(seed))))
 
 
+def _lstm_layers(rng, layers: int, repeat: bool = False, last_only: bool = False):
+    """A stack of ``lstm_layer`` ops over a (4, 2, 3) sequence or a (2, 3) repeat vector.
+
+    The loss weights every hidden state it reads differently (every step's,
+    or the top layer's last one when ``last_only``), and the input is a
+    parameter too, so the check covers the gradients of all four operands.
+    """
+    steps, batch, width, hidden = 4, 2, 3, 3
+    x = T.Tensor(rng.uniform(-1, 1, (batch, width) if repeat else (steps, batch, width)),
+                 requires_grad=True)
+    params = [x]
+    for k in range(layers):
+        fan_in = width if k == 0 else hidden
+        params += [T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+                   for shape in ((4 * hidden, fan_in), (4 * hidden, hidden), (4 * hidden,))]
+    c = T.constant(rng.uniform(-1, 1, (batch, hidden) if last_only else (steps, batch, hidden)))
+
+    def loss_fn():
+        h = x
+        for k in range(layers):
+            w, u, b = params[1 + 3 * k:4 + 3 * k]
+            h = T.lstm_layer(h, w, u, b, steps=steps if k == 0 else None,
+                             last_only=last_only and k == layers - 1)
+        return T.total_sum(T.mul(h, c))
+
+    return params, loss_fn
+
+
 def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     from . import layers as L
 
     rng = np.random.default_rng(seed)
     checks = []
 
-    def cell_check():
-        p = L.LSTMCellParams.init(input_size=3, hidden_size=4, rng=rng)
-        xs = [T.constant(rng.uniform(-1, 1, (1, 3))) for _ in range(3)]
-
-        def loss_fn():
-            state = L.LSTMState.zeros(1, 4)
-            for x in xs:
-                state = L.lstm_cell_step(p, x, state)
-            return T.total_sum(state.h)
-
-        return check_gradients(loss_fn, list(p.tensors()))
-
-    checks.append(("layer.lstm_cell", cell_check, LAYER_TOLERANCE))
-
     def stack_check():
         p = L.StackedLSTMParams.init(input_size=3, hidden_size=3, num_layers=2, dropout=0.0, rng=rng)
-        xs = [T.constant(rng.uniform(-1, 1, (2, 3))) for _ in range(4)]
+        xs = T.constant(rng.uniform(-1, 1, (4, 2, 3)))
 
         def loss_fn():
-            seq, _ = L.lstm_forward(p, xs, training=False)
-            return T.total_sum(seq[-1])
+            return T.total_sum(L.lstm_forward(p, xs, training=False, last_only=True))
 
         return check_gradients(loss_fn, list(p.tensors()))
 

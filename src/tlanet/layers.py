@@ -1,9 +1,11 @@
 """Recurrent and dense building blocks on top of the tensor core.
 
-Sequences are time-major lists of rank-2 tensors, one ``(rows, width)``
-tensor per step, where ``rows`` is 1 for a single example or the batch
-size. Rank-1 vectors are accepted at the public entry points and promoted
-through a recorded reshape so gradients still flow.
+A sequence is one time-major tensor of shape (steps, batch, width); a
+repeat vector is a (batch, width) tensor that an LSTM stack reads at
+every step. Row-wise heads (dense layers, the meta-learner) run once over
+a sequence flattened to (steps * batch, width) rows. Rank-1 vectors are
+accepted by ``dense_forward`` and promoted through a recorded reshape so
+gradients still flow.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ from .tensor import ShapeError, Tensor
 GATES = ("input", "forget", "output", "candidate")
 
 
-def _init_matrix(rng: np.random.Generator, rows: int, cols: int, fan_in: int, name: str) -> Tensor:
+def _uniform(rng: np.random.Generator, rows: int, cols: int, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, (rows, cols)), requires_grad=True, name=name)
+    return rng.uniform(-bound, bound, (rows, cols))
+
+
+def _init_matrix(rng: np.random.Generator, rows: int, cols: int, fan_in: int, name: str) -> Tensor:
+    return Tensor(_uniform(rng, rows, cols, fan_in), requires_grad=True, name=name)
 
 
 def _as_rows(x: Tensor) -> tuple[Tensor, bool]:
@@ -33,92 +39,62 @@ def _as_rows(x: Tensor) -> tuple[Tensor, bool]:
 
 @dataclass
 class LSTMCellParams:
-    """The four-gate LSTM cell: input, forget, output gates plus tanh candidate."""
+    """One LSTM layer's packed gates: rows of ``w``, ``u`` and ``b`` are the
+    input, forget, output and candidate gates, ``hidden_size`` rows each."""
 
-    input_size: int
-    hidden_size: int
-    w: dict[str, Tensor]  # gate -> (hidden, input) matrix
-    u: dict[str, Tensor]  # gate -> (hidden, hidden) matrix
-    b: dict[str, Tensor]  # gate -> (hidden,) bias
+    w: Tensor  # (4 * hidden, input) input weights
+    u: Tensor  # (4 * hidden, hidden) recurrent weights
+    b: Tensor  # (4 * hidden,) bias
 
     def __post_init__(self):
-        for gate in GATES:
-            if self.w[gate].shape != (self.hidden_size, self.input_size):
-                raise ShapeError(f"{gate} gate weight has shape {self.w[gate].shape}, "
-                                 f"expected {(self.hidden_size, self.input_size)}")
-            if self.u[gate].shape != (self.hidden_size, self.hidden_size):
-                raise ShapeError(f"{gate} gate recurrent weight has shape {self.u[gate].shape}")
-            if self.b[gate].shape != (self.hidden_size,):
-                raise ShapeError(f"{gate} gate bias has shape {self.b[gate].shape}")
+        rows = self.w.shape[0] if len(self.w.shape) == 2 else 0
+        hidden = rows // 4
+        if len(self.w.shape) != 2 or rows != 4 * hidden or hidden == 0:
+            raise ShapeError(f"gate weights have shape {self.w.shape}, expected (4 * hidden, input)")
+        if self.u.shape != (rows, hidden):
+            raise ShapeError(f"recurrent gate weights have shape {self.u.shape}, expected {(rows, hidden)}")
+        if self.b.shape != (rows,):
+            raise ShapeError(f"gate bias has shape {self.b.shape}, expected {(rows,)}")
+
+    @property
+    def input_size(self) -> int:
+        return self.w.shape[1]
+
+    @property
+    def hidden_size(self) -> int:
+        return self.u.shape[1]
 
     @classmethod
     def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator,
              forget_bias: float = 1.0, prefix: str = "lstm") -> "LSTMCellParams":
-        w, u, b = {}, {}, {}
-        for gate in GATES:
-            w[gate] = _init_matrix(rng, hidden_size, input_size, input_size, f"{prefix}.w_{gate}")
-            u[gate] = _init_matrix(rng, hidden_size, hidden_size, hidden_size, f"{prefix}.u_{gate}")
-            bias = np.zeros(hidden_size)
-            if gate == "forget":
-                bias += forget_bias
-            b[gate] = Tensor(bias, requires_grad=True, name=f"{prefix}.b_{gate}")
-        return cls(input_size, hidden_size, w, u, b)
+        # per gate, draw the input then the recurrent uniforms, the order
+        # in which per-gate parameters were always drawn, so a seed keeps
+        # building the same model
+        ws, us = [], []
+        for _ in GATES:
+            ws.append(_uniform(rng, hidden_size, input_size, input_size))
+            us.append(_uniform(rng, hidden_size, hidden_size, hidden_size))
+        bias = np.zeros(4 * hidden_size)
+        bias[hidden_size:2 * hidden_size] = forget_bias
+        return cls(Tensor(np.concatenate(ws), requires_grad=True, name=f"{prefix}.w_gates"),
+                   Tensor(np.concatenate(us), requires_grad=True, name=f"{prefix}.u_gates"),
+                   Tensor(bias, requires_grad=True, name=f"{prefix}.b_gates"))
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> "LSTMCellParams":
-        w = {g: Tensor.zeros((hidden_size, input_size), requires_grad=True) for g in GATES}
-        u = {g: Tensor.zeros((hidden_size, hidden_size), requires_grad=True) for g in GATES}
-        b = {g: Tensor.zeros((hidden_size,), requires_grad=True) for g in GATES}
-        return cls(input_size, hidden_size, w, u, b)
+        return cls(Tensor.zeros((4 * hidden_size, input_size), requires_grad=True),
+                   Tensor.zeros((4 * hidden_size, hidden_size), requires_grad=True),
+                   Tensor.zeros((4 * hidden_size,), requires_grad=True))
 
     def tensors(self):
-        for gate in GATES:
-            yield self.w[gate]
-            yield self.u[gate]
-            yield self.b[gate]
-
-
-@dataclass
-class LSTMState:
-    """Hidden and cell vectors, one row per example."""
-
-    h: Tensor
-    c: Tensor
-
-    def __post_init__(self):
-        if self.h.shape != self.c.shape:
-            raise ShapeError(f"state shapes differ: h {self.h.shape} vs c {self.c.shape}")
-
-    @classmethod
-    def zeros(cls, rows: int, hidden_size: int) -> "LSTMState":
-        return cls(Tensor.zeros((rows, hidden_size)), Tensor.zeros((rows, hidden_size)))
-
-
-def lstm_cell_step(p: LSTMCellParams, x: Tensor, state: LSTMState) -> LSTMState:
-    """One recurrence step: gates regulate what enters and leaves the cell."""
-    x, _ = _as_rows(x)
-    if x.shape[1] != p.input_size:
-        raise ShapeError(f"input gate expects width {p.input_size}, got input of shape {x.shape}")
-    if state.h.shape[1] != p.hidden_size:
-        raise ShapeError(f"forget gate expects hidden width {p.hidden_size}, "
-                         f"got state of shape {state.h.shape}")
-
-    def gate(name, fn):
-        z = T.add_bias(T.add(T.linear(x, p.w[name]), T.linear(state.h, p.u[name])), p.b[name])
-        return fn(z)
-
-    i = gate("input", T.sigmoid)
-    f = gate("forget", T.sigmoid)
-    o = gate("output", T.sigmoid)
-    g = gate("candidate", T.tanh)
-    c_new = T.add(T.mul(f, state.c), T.mul(i, g))
-    h_new = T.mul(o, T.tanh(c_new))
-    return LSTMState(h_new, c_new)
+        yield self.w
+        yield self.u
+        yield self.b
 
 
 @dataclass
 class StackedLSTMParams:
-    """A pile of LSTM cells; layer k+1 consumes layer k's hidden sequence."""
+    """A pile of LSTM layers; layer k+1 consumes layer k's hidden sequence."""
 
     cells: list[LSTMCellParams]
     dropout: float = 0.0
@@ -153,46 +129,28 @@ class StackedLSTMParams:
             yield from cell.tensors()
 
 
-def lstm_forward(p: StackedLSTMParams, seq: list[Tensor], training: bool = False,
-                 rng: np.random.Generator | None = None) -> tuple[list[Tensor], list[LSTMState]]:
-    """Unroll the stack over a sequence.
+def lstm_forward(p: StackedLSTMParams, x: Tensor, training: bool = False,
+                 rng: np.random.Generator | None = None, *, steps: int | None = None,
+                 last_only: bool = False) -> Tensor:
+    """Run the stack over a (steps, batch, in) sequence, or over a (batch, in)
+    repeat vector read at each of ``steps`` steps.
 
-    Returns the top layer's hidden sequence and the final state of every
-    layer. Inverted dropout is applied between layers (not after the last)
-    and only when ``training`` is true, so inference ignores ``rng``.
+    Returns the top layer's hidden sequence (steps, batch, hidden), or its
+    last hidden state (batch, hidden) when ``last_only``. Each layer is one
+    ``lstm_layer`` op. Inverted dropout is applied between layers (not
+    after the last) and only when ``training`` is true, so inference
+    ignores ``rng``.
     """
-    if not seq:
-        raise ValueError("lstm_forward needs a non-empty sequence")
-    seq = [_as_rows(x)[0] for x in seq]
-    rows = seq[0].shape[0]
     use_dropout = training and p.dropout > 0.0
     if use_dropout and rng is None:
         raise ValueError("training with dropout requires an rng")
-    finals: list[LSTMState] = []
-    layer_in = seq
+    top = len(p.cells) - 1
     for depth, cell in enumerate(p.cells):
-        state = LSTMState.zeros(rows, cell.hidden_size)
-        outputs = []
-        for x in layer_in:
-            state = lstm_cell_step(cell, x, state)
-            outputs.append(state.h)
-        finals.append(state)
-        if use_dropout and depth < len(p.cells) - 1:
-            outputs = [T.dropout(h, p.dropout, rng) for h in outputs]
-        layer_in = outputs
-    return layer_in, finals
-
-
-def repeat_sequence(v: Tensor, times: int) -> list[Tensor]:
-    """The same rows tensor at every one of ``times`` steps (a repeat vector).
-
-    Reusing one tensor per step is equivalent to tiling plus a summed
-    backward rule, because the tape accumulates the adjoints of each use.
-    """
-    if times < 1:
-        raise ValueError(f"repeat_sequence needs times >= 1, got {times}")
-    v, _ = _as_rows(v)
-    return [v] * times
+        x = T.lstm_layer(x, cell.w, cell.u, cell.b, steps=steps if depth == 0 else None,
+                         last_only=last_only and depth == top)
+        if use_dropout and depth < top:
+            x = T.dropout(x, p.dropout, rng)
+    return x
 
 
 @dataclass
@@ -251,5 +209,8 @@ class EmbeddingTable:
 
 
 def embedding_lookup(t: EmbeddingTable, ids) -> Tensor:
-    """Gather embedding rows for a 1-D id sequence; pad rows stay zero and untrained."""
+    """Gather embedding rows for an id array of any rank; pad rows stay zero and untrained.
+
+    A (steps, batch) id matrix gives the (steps, batch, dim) sequence.
+    """
     return T.lookup_rows(t.table, ids, padding_idx=t.padding_idx)

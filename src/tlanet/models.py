@@ -8,9 +8,11 @@ input. Classification reads the fused representation through a small
 fully connected network; a rejection head attaches to its penultimate
 activations.
 
-All forward passes are batch-first: token ids arrive as an (examples,
-steps) integer matrix and sequences flow through the layers as time-major
-lists of (examples, width) tensors.
+Token ids arrive batch-first, as an (examples, steps) integer matrix.
+Inside, a sequence is one time-major (steps, examples, width) tensor, each
+LSTM layer is one op over the whole sequence, and the row-wise heads (the
+decoder meta-learner, the reconstruction layer and its loss) run once
+over the sequence flattened to (steps * examples, width) rows.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class BatchOutput:
     features: Tensor  # (batch, feature_dim); what a rejection head would read
     recon_loss: Tensor | None = None  # batch-mean reconstruction loss
     recon_per_example: np.ndarray | None = None
-    recon_steps: list[Tensor] | None = None  # one reconstructed step per input step
+    reconstruction: Tensor | None = None  # (steps * batch, width) rows, time-major
 
 
 class MetaFusion(NamedTuple):
@@ -157,33 +159,32 @@ class _SequenceModel:
     def feature_dim(self) -> int:
         raise NotImplementedError
 
-    def _embed_steps(self, ids: np.ndarray) -> list[Tensor]:
-        return [L.embedding_lookup(self.embedding, ids[:, t]) for t in range(ids.shape[1])]
+    def _embed(self, ids: np.ndarray) -> Tensor:
+        """The (steps, batch, embed) sequence of a (batch, steps) id matrix."""
+        return L.embedding_lookup(self.embedding, ids.T)
 
-    def _recon_pack(self, targets: list[Tensor], recon_steps: list[Tensor],
-                    token_ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """Batch-mean reconstruction loss plus the per-example values."""
-        batch = targets[0].shape[0]
+    def _reconstruct(self, rows: Tensor, embedded: Tensor,
+                     token_ids: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
+        """Reconstruct every step from (steps * batch, hidden) rows.
+
+        Returns the reconstruction rows, the batch-mean reconstruction loss
+        and its per-example values.
+        """
+        recon = L.dense_forward(self.recon.weights, self.recon.bias, rows, self._recon_activation())
+        steps, batch = embedded.shape[0], embedded.shape[1]
         if self.cfg.recon_mode == "mse":
-            per = np.zeros(batch)
-            total = None
-            for tgt, rec in zip(targets, recon_steps):
-                diff = T.sub(tgt, rec)
-                sq = T.mul(diff, diff)
-                per += sq.array.sum(axis=1)
-                step_sum = T.total_sum(sq)
-                total = step_sum if total is None else T.add(total, step_sum)
-            return T.scale(total, 1.0 / batch), per
+            diff = T.sub(T.reshape(embedded, recon.shape), recon)
+            sq = T.mul(diff, diff)
+            per = sq.array.reshape(steps, batch, -1).sum(axis=(0, 2))
+            return recon, T.scale(T.total_sum(sq), 1.0 / batch), per
         # bce: reconstruct one-hot token rows through sigmoid outputs
-        probs = T.concat(recon_steps, axis=0)  # (steps*batch, vocab)
-        onehot = np.zeros((len(recon_steps) * batch, self.cfg.vocab_size))
-        for s in range(len(recon_steps)):
-            onehot[np.arange(batch) + s * batch, token_ids[:, s]] = 1.0
-        loss = optim.bce(probs, onehot)
-        p = np.clip(probs.array, optim.PROB_FLOOR, 1.0 - optim.PROB_FLOOR)
+        onehot = np.zeros(recon.shape)
+        onehot[np.arange(steps * batch), token_ids.T.reshape(-1)] = 1.0
+        loss = optim.bce(recon, onehot)
+        p = np.clip(recon.array, optim.PROB_FLOOR, 1.0 - optim.PROB_FLOOR)
         cell = -(onehot * np.log(p) + (1.0 - onehot) * np.log(1.0 - p))
-        per = cell.reshape(len(recon_steps), batch, -1).mean(axis=(0, 2))
-        return loss, per
+        per = cell.reshape(steps, batch, -1).mean(axis=(0, 2))
+        return recon, loss, per
 
     def _recon_head_width(self) -> int:
         return self.cfg.embed_dim if self.cfg.recon_mode == "mse" else self.cfg.vocab_size
@@ -246,9 +247,7 @@ class LstmClassifier(_SequenceModel):
     def forward_batch(self, tokens, training: bool = False,
                       rng: np.random.Generator | None = None) -> BatchOutput:
         ids = _check_tokens(tokens)
-        seq = self._embed_steps(ids)
-        hidden_seq, _ = L.lstm_forward(self.trunk, seq, training, rng)
-        features = hidden_seq[-1]
+        features = L.lstm_forward(self.trunk, self._embed(ids), training, rng, last_only=True)
         probs = L.dense_forward(self.head.weights, self.head.bias, features, "softmax")
         return BatchOutput(probs, features)
 
@@ -279,12 +278,11 @@ class BiLstmClassifier(_SequenceModel):
     def forward_batch(self, tokens, training: bool = False,
                       rng: np.random.Generator | None = None) -> BatchOutput:
         ids = _check_tokens(tokens)
-        seq = self._embed_steps(ids)
         # classify from the final state of each direction: both have read
-        # the whole sequence
-        _, fwd_finals = L.lstm_forward(self.fwd, seq, training, rng)
-        _, bwd_finals = L.lstm_forward(self.bwd, list(reversed(seq)), training, rng)
-        features = T.concat([fwd_finals[-1].h, bwd_finals[-1].h], axis=1)
+        # the whole sequence; the backward one reads the reversed ids
+        fwd = L.lstm_forward(self.fwd, self._embed(ids), training, rng, last_only=True)
+        bwd = L.lstm_forward(self.bwd, self._embed(ids[:, ::-1]), training, rng, last_only=True)
+        features = T.concat([fwd, bwd], axis=1)
         probs = L.dense_forward(self.head.weights, self.head.bias, features, "softmax")
         return BatchOutput(probs, features)
 
@@ -318,17 +316,14 @@ class LstmAutoencoder(_SequenceModel):
     def forward_batch(self, tokens, training: bool = False,
                       rng: np.random.Generator | None = None) -> BatchOutput:
         ids = _check_tokens(tokens)
-        seq = self._embed_steps(ids)
-        _, finals = L.lstm_forward(self.encoder, seq, training, rng)
-        encoded = finals[-1].h
-        dec_in = L.repeat_sequence(encoded, len(seq))
-        dec_seq, _ = L.lstm_forward(self.decoder, dec_in, training, rng)
-        act = self._recon_activation()
-        recon_steps = [L.dense_forward(self.recon.weights, self.recon.bias, h, act)
-                       for h in dec_seq]
-        recon_loss, per = self._recon_pack(seq, recon_steps, ids)
+        seq = self._embed(ids)
+        steps = ids.shape[1]
+        encoded = L.lstm_forward(self.encoder, seq, training, rng, last_only=True)
+        decoded = L.lstm_forward(self.decoder, encoded, training, rng, steps=steps)
+        rows = T.reshape(decoded, (steps * ids.shape[0], decoded.shape[2]))
+        recon, recon_loss, per = self._reconstruct(rows, seq, ids)
         probs = L.dense_forward(self.head.weights, self.head.bias, encoded, "softmax")
-        return BatchOutput(probs, encoded, recon_loss, per, recon_steps)
+        return BatchOutput(probs, encoded, recon_loss, per, recon)
 
 
 class TlaNet(_SequenceModel):
@@ -378,54 +373,49 @@ class TlaNet(_SequenceModel):
         yield from self.class_hidden.tensors()
         yield from self.class_out.tensors()
 
-    def _encode(self, k: int, seq: list[Tensor], training, rng) -> Tensor:
-        steps = len(seq)
-        _, s1_finals = L.lstm_forward(self.enc_stage1[k], seq, training, rng)
-        rep = L.repeat_sequence(s1_finals[-1].h, steps)
-        _, s2_finals = L.lstm_forward(self.enc_stage2[k], rep, training, rng)
-        return s2_finals[-1].h
+    def _encode(self, k: int, seq: Tensor, training, rng) -> Tensor:
+        """Stage 1 reads the sequence; stage 2 reads its final state at every step."""
+        s1 = L.lstm_forward(self.enc_stage1[k], seq, training, rng, last_only=True)
+        return L.lstm_forward(self.enc_stage2[k], s1, training, rng, steps=seq.shape[0],
+                              last_only=True)
 
-    def _decode(self, k: int, seq: list[Tensor], training, rng) -> list[Tensor]:
-        steps = len(seq)
-        _, d1_finals = L.lstm_forward(self.dec_stage1[k], seq, training, rng)
-        rep = L.repeat_sequence(d1_finals[-1].h, steps)
-        d2_seq, _ = L.lstm_forward(self.dec_stage2[k], rep, training, rng)
-        return d2_seq
+    def _decode(self, k: int, fused: Tensor, steps: int, training, rng) -> Tensor:
+        """Both stages read a repeat vector; returns stage 2's (steps * batch, hidden) rows."""
+        d1 = L.lstm_forward(self.dec_stage1[k], fused, training, rng, steps=steps, last_only=True)
+        d2 = L.lstm_forward(self.dec_stage2[k], d1, training, rng, steps=steps)
+        return T.reshape(d2, (steps * d2.shape[1], d2.shape[2]))
 
     def forward_batch(self, tokens, training: bool = False,
                       rng: np.random.Generator | None = None) -> BatchOutput:
         ids = _check_tokens(tokens)
-        seq = self._embed_steps(ids)
-        steps = len(seq)
+        seq = self._embed(ids)
+        batch, steps = ids.shape
 
         encodings = []
         for k in range(3):
             view = seq
             if self.cfg.encoder_views == "dropout" and training and self.cfg.dropout > 0.0:
-                view = [T.dropout(x, self.cfg.dropout, rng) for x in seq]
+                view = T.dropout(seq, self.cfg.dropout, rng)
             encodings.append(self._encode(k, view, training, rng))
         fusion = meta_learner_combine(self.enc_meta, encodings)
 
-        dec_in = L.repeat_sequence(fusion.fused, steps)
-        decoded = [self._decode(k, dec_in, training, rng) for k in range(3)]
-        fused_steps = [meta_learner_combine(self.dec_meta, [d[t] for d in decoded]).fused
-                       for t in range(steps)]
-        act = self._recon_activation()
-        recon_steps = [L.dense_forward(self.recon.weights, self.recon.bias, h, act)
-                       for h in fused_steps]
-        recon_loss, per = self._recon_pack(seq, recon_steps, ids)
+        decoded = [self._decode(k, fusion.fused, steps, training, rng) for k in range(3)]
+        fused_rows = meta_learner_combine(self.dec_meta, decoded).fused
+        recon, recon_loss, per = self._reconstruct(fused_rows, seq, ids)
 
         if self.cfg.class_tap == "fused":
             class_in = fusion.fused
         else:
-            pooled = fused_steps[0]
-            for h in fused_steps[1:]:
+            step_rows = [T.lookup_rows(fused_rows, np.arange(batch) + t * batch)
+                         for t in range(steps)]
+            pooled = step_rows[0]
+            for h in step_rows[1:]:
                 pooled = T.add(pooled, h)
             class_in = T.scale(pooled, 1.0 / steps)
         hidden_act = L.dense_forward(self.class_hidden.weights, self.class_hidden.bias,
                                      class_in, "relu")
         probs = L.dense_forward(self.class_out.weights, self.class_out.bias, hidden_act, "softmax")
-        return BatchOutput(probs, hidden_act, recon_loss, per, recon_steps)
+        return BatchOutput(probs, hidden_act, recon_loss, per, recon)
 
 
 def build_model(kind: str, cfg: ClassifierConfig) -> _SequenceModel:

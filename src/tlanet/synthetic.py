@@ -85,10 +85,3 @@ def builtin_dataset_path(name: str) -> str:
         raise ValueError(f"unknown builtin dataset {name!r}; available: {BUILTIN_DATASETS}")
     filename = name.replace("-", "_") + ".csv"
     return str(resources.files("tlanet").joinpath("data", filename))
-
-
-def resolve_dataset_path(path: str) -> str:
-    """Pass real paths through; map ``builtin:<name>`` to the bundled files."""
-    if path.startswith("builtin:"):
-        return builtin_dataset_path(path.split(":", 1)[1])
-    return path

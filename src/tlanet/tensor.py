@@ -10,9 +10,13 @@ one. Ops record themselves on the innermost active ``Tape`` (entered with
 inference path.
 
 The only broadcasts are ``add_bias`` (a bias row added to every row of a
-matrix) and ``weighted_sum`` (one attention weight per row scaling that
-row of a part). Every other op requires exact shape agreement, which
-keeps each backward rule small enough to audit by eye.
+matrix), ``weighted_sum`` (one attention weight per row scaling that row
+of a part) and ``lstm_layer``'s repeat vector (one input read at every
+step). Every other op requires exact shape agreement, which keeps each
+backward rule small enough to audit by eye. ``lstm_layer`` is the one
+composite op: a whole LSTM layer over a sequence, with its
+backpropagation through time written out by hand and checked by
+``tla gradcheck``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "clip_log",
     "lookup_rows",
     "dropout",
+    "lstm_layer",
     "backward",
     "scalar_recurrence",
     "recurrence_trajectory",
@@ -209,6 +214,14 @@ def backward(loss: Tensor, tape: Tape) -> None:
     tape.backward(loss)
 
 
+def _recording_tape(inputs: tuple[Tensor, ...]) -> "Tape | None":
+    """The tape an op on ``inputs`` records on, or None when nothing will differentiate it."""
+    tape = active_tape()
+    if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
+
+
 def _emit(values: np.ndarray, shape, inputs: tuple[Tensor, ...], rule) -> Tensor:
     """Wrap an op's freshly computed array; the output takes ownership, so no copy."""
     out = Tensor.__new__(Tensor)
@@ -216,9 +229,9 @@ def _emit(values: np.ndarray, shape, inputs: tuple[Tensor, ...], rule) -> Tensor
     out.values = values.reshape(-1)
     out._grad = None
     out.name = None
-    tape = active_tape()
-    out.requires_grad = tape is not None and any(t.requires_grad for t in inputs)
-    if out.requires_grad:
+    tape = _recording_tape(inputs)
+    out.requires_grad = tape is not None
+    if tape is not None:
         tape._record(out, inputs, rule)
     return out
 
@@ -416,21 +429,22 @@ def clip_log(x: Tensor, floor: float = 1e-12) -> Tensor:
 
 
 def lookup_rows(table: Tensor, ids, padding_idx: int | None = None) -> Tensor:
-    """Gather rows ``table[ids]``; backward scatter-adds into exactly those rows.
+    """Gather rows ``table[ids]`` for an id array of any rank; backward scatter-adds into exactly those rows.
 
-    A ``padding_idx`` row never receives gradient, so it stays pinned.
+    The output has shape ``ids.shape + (width,)``. A ``padding_idx`` row
+    never receives gradient, so it stays pinned.
     """
     idx = np.asarray(ids, dtype=np.int64)
-    if len(table.shape) != 2 or idx.ndim != 1:
+    if len(table.shape) != 2 or idx.ndim < 1:
         raise ShapeError(f"lookup_rows: table {table.shape} with ids of rank {idx.ndim}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         bad = int(idx[(idx < 0) | (idx >= table.shape[0])][0])
         raise IndexError(f"token id {bad} outside table with {table.shape[0]} rows")
     out = table.array[idx]
 
-    def rule(g, shape=table.shape, idx=idx, pad=padding_idx):
+    def rule(g, shape=table.shape, idx=idx.reshape(-1), pad=padding_idx):
         gt = np.zeros(shape)
-        np.add.at(gt, idx, g)
+        np.add.at(gt, idx, g.reshape(idx.size, shape[1]))
         if pad is not None:
             gt[pad] = 0.0
         return (gt,)
@@ -447,6 +461,126 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep) / keep
     return _emit(x.array * mask, x.shape, (x,), lambda g, mask=mask: (g * mask,))
+
+
+def lstm_layer(x: Tensor, w: Tensor, u: Tensor, b: Tensor, steps: int | None = None,
+               last_only: bool = False) -> Tensor:
+    """One LSTM layer over a whole sequence, recorded as a single op.
+
+    ``x`` is a time-major sequence (steps, batch, in), or a (batch, in)
+    repeat vector that every one of ``steps`` steps reads. ``w`` (4H, in),
+    ``u`` (4H, H) and ``b`` (4H,) pack the input, forget, output and
+    candidate gates in that order, the row layout of torch.nn.LSTM's
+    ``weight_ih``/``weight_hh``. The state starts at zero. Returns the
+    hidden sequence (steps, batch, H), or only the last hidden state
+    (batch, H) when ``last_only``.
+
+    The input projection of all steps is one product (one (batch, 4H)
+    product for a repeat vector), so only ``h @ u.T`` stays in the
+    recurrence. Backward is backpropagation through time over per-step
+    caches that are kept only when a tape records the call. It reads ``w``
+    and ``u`` by reference, which holds because parameters change only
+    after backward.
+    """
+    if len(w.shape) != 2 or len(u.shape) != 2 or w.shape[0] % 4 or w.shape[0] == 0:
+        raise ShapeError(f"lstm_layer: gate weights {w.shape} and {u.shape} must be (4H, in) and (4H, H)")
+    hidden = w.shape[0] // 4
+    if u.shape != (4 * hidden, hidden):
+        raise ShapeError(f"lstm_layer: recurrent gate weights {u.shape} do not fit "
+                         f"{hidden} hidden units, expected {(4 * hidden, hidden)}")
+    if b.shape != (4 * hidden,):
+        raise ShapeError(f"lstm_layer: gate bias {b.shape} does not match gate weights {w.shape}")
+    repeat = len(x.shape) == 2
+    if repeat:
+        if steps is None or steps < 1:
+            raise ValueError(f"lstm_layer on a repeat vector needs steps >= 1, got {steps}")
+    elif len(x.shape) != 3 or steps not in (None, x.shape[0]):
+        raise ShapeError(f"lstm_layer: input {x.shape} is neither (steps, batch, in) "
+                         f"nor a (batch, in) repeat vector with steps given")
+    else:
+        steps = x.shape[0]
+        if steps == 0:
+            raise ValueError("lstm_layer needs a non-empty sequence")
+    if x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"lstm_layer: input width {x.shape[-1]} does not match gate weights {w.shape}")
+
+    batch, width = x.shape[-2], x.shape[-1]
+    h2, h3 = 2 * hidden, 3 * hidden
+    xv, wv, uv, bv = x.array, w.array, u.array, b.array
+    if repeat:
+        xw = xv @ wv.T
+    else:
+        xw = (xv.reshape(steps * batch, width) @ wv.T).reshape(steps, batch, 4 * hidden)
+    keep = _recording_tape((x, w, u, b)) is not None
+    if keep or not last_only:
+        hs = np.zeros((steps + 1, batch, hidden))  # hs[t] is the state before step t
+    if keep:
+        gates = np.empty((steps, batch, 4 * hidden))  # activated i, f, o, candidate
+        cs = np.zeros((steps + 1, batch, hidden))  # cs[t] is the cell before step t
+        tcs = np.empty((steps, batch, hidden))  # tanh of the cell after step t
+    z = np.empty((batch, 4 * hidden))
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    ut = uv.T
+    for t in range(steps):
+        if keep:
+            z = gates[t]
+        np.matmul(h, ut, out=z)
+        z += xw if repeat else xw[t]
+        z += bv
+        sig = z[:, :h3]  # sigmoid as 1 / (1 + exp(-v)), in place
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        np.tanh(z[:, h3:], out=z[:, h3:])
+        c_new = cs[t + 1] if keep else np.empty_like(c)
+        np.multiply(z[:, hidden:h2], c, out=c_new)
+        c_new += z[:, :hidden] * z[:, h3:]
+        c = c_new
+        tc = np.tanh(c, out=tcs[t]) if keep else np.tanh(c)
+        h = hs[t + 1] if keep or not last_only else np.empty_like(c)
+        np.multiply(z[:, h2:h3], tc, out=h)
+    out = h if last_only else hs[1:]
+
+    def rule(g):
+        i, f, o, cand = (gates[:, :, k * hidden:(k + 1) * hidden] for k in range(4))
+        # the factors that do not depend on the adjoint, for all steps at once:
+        # d_o = dh * k_o, dc += dh * k_c, and (d_i, d_f, d_cand) = dc * k_gates
+        k_o = tcs * o * (1.0 - o)
+        k_c = o * (1.0 - tcs * tcs)
+        k_gates = np.empty((steps, batch, 4, hidden))
+        k_gates[:, :, 0] = cand * i * (1.0 - i)
+        k_gates[:, :, 1] = cs[:steps] * f * (1.0 - f)
+        k_gates[:, :, 2] = 0.0
+        k_gates[:, :, 3] = i * (1.0 - cand * cand)
+        dz = np.empty((steps, batch, 4 * hidden))
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        for t in range(steps - 1, -1, -1):
+            if not last_only:
+                dh = dh + g[t]
+            elif t == steps - 1:
+                dh = dh + g
+            dc += dh * k_c[t]
+            d = dz[t].reshape(batch, 4, hidden)
+            np.multiply(dc[:, None, :], k_gates[t], out=d)
+            np.multiply(dh, k_o[t], out=d[:, 2])
+            dc *= f[t]
+            dh = dz[t] @ uv
+        rows = dz.reshape(steps * batch, 4 * hidden)
+        du = rows.T @ hs[:steps].reshape(steps * batch, hidden)
+        db = rows.sum(axis=0)
+        if repeat:
+            dz_x = dz.sum(axis=0)
+            dw = dz_x.T @ xv
+        else:
+            dz_x = rows
+            dw = rows.T @ xv.reshape(steps * batch, width)
+        dx = (dz_x @ wv).reshape(x.shape) if x.requires_grad else None
+        return dx, dw, du, db
+
+    return _emit(out, out.shape, (x, w, u, b), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Checkpoint containers: bitwise round-trips, hash guards, cache compatibility."""
+"""Checkpoint containers: bitwise round-trips, hash guards, cache compatibility, v1 checkpoints."""
+
+import json
+import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -159,3 +163,141 @@ class TestDatasetCache:
         CK.save_dataset_cache(path, vocab, "english", np.zeros((1, 2), dtype=np.int64),
                               np.zeros(1, dtype=np.int64), ["x"])
         assert [p.name for p in tmp_path.iterdir()] == ["cache.tlad"]
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+
+def set_version(path, version):
+    data = bytearray(path.read_bytes())
+    data[4:8] = struct.pack("<I", version)
+    path.write_bytes(bytes(data))
+
+
+class TestFormatVersions:
+    def test_writes_version_2(self, tmp_path):
+        path = tmp_path / "box.bin"
+        CK.save_container(path, CK.MODEL_MAGIC, {}, [])
+        assert CK.FORMAT_VERSION == 2
+        assert struct.unpack("<I", path.read_bytes()[4:8]) == (2,)
+
+    def test_v1_dataset_cache_loads_unchanged(self, tmp_path):
+        vocab = make_vocab()
+        path = tmp_path / "cache.tlad"
+        CK.save_dataset_cache(path, vocab, "english", np.array([[2, 3]]), np.array([1]), ["a"])
+        set_version(path, 1)
+        cache = CK.load_dataset_cache(path)
+        assert np.array_equal(cache.tokens, [[2, 3]])
+        assert cache.vocab_hash == vocab.content_hash()
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "box.bin"
+        CK.save_container(path, CK.MODEL_MAGIC, {}, [])
+        set_version(path, 3)
+        with pytest.raises(CK.ArtifactMismatch, match="format version 3"):
+            CK.load_container(path, CK.MODEL_MAGIC)
+
+
+class TestV1Checkpoint:
+    """A TLA-Net checkpoint written by the per-gate (v1) code, and its predictions then."""
+
+    def expected(self):
+        return json.loads((FIXTURES / "tla_net_v1.json").read_text())
+
+    def test_reproduces_v1_predictions(self):
+        bundle = CK.load_checkpoint(FIXTURES / "tla_net_v1.tlac")
+        want = self.expected()
+        probs, feats, recon = bundle.model.predict_batch(np.array(want["tokens"]))
+        assert np.abs(probs - want["probs"]).max() <= 1e-12
+        assert np.abs(feats - want["features"]).max() <= 1e-12
+        assert np.abs(recon - want["recon_per_example"]).max() <= 1e-12
+
+    def test_gates_and_adam_moments_packed(self):
+        bundle = CK.load_checkpoint(FIXTURES / "tla_net_v1.tlac")
+        _, v1 = CK.load_container(FIXTURES / "tla_net_v1.tlac", CK.MODEL_MAGIC)
+        names = [name for name, _ in bundle.model.named_tensors()]
+        # v1 listed each layer per gate: w_input, u_input, b_input, w_forget, ...
+        v1_index = {}
+        for name in names:
+            stem, _, leaf = name.rpartition(".")
+            if leaf == "w_gates":
+                for gate in ("input", "forget", "output", "candidate"):
+                    for kind in "wub":
+                        v1_index[f"{stem}.{kind}_{gate}"] = len(v1_index)
+            elif leaf not in ("u_gates", "b_gates"):
+                v1_index[name] = len(v1_index)
+        assert len(v1_index) == sum(1 for key in v1 if key.startswith("adam.m."))
+        j = names.index("dec1.s2.l1.u_gates")
+        hidden = bundle.config.hidden_size
+        for g, gate in enumerate(("input", "forget", "output", "candidate")):
+            rows = slice(g * hidden, (g + 1) * hidden)
+            part = f"dec1.s2.l1.u_{gate}"
+            assert np.array_equal(bundle.model.named_tensors()[j][1].array[rows], v1[part])
+            flat = slice(g * hidden * hidden, (g + 1) * hidden * hidden)
+            assert np.array_equal(bundle.arrays[f"adam.m.{j}"][flat], v1[f"adam.m.{v1_index[part]}"])
+            assert np.array_equal(bundle.arrays[f"adam.v.{j}"][flat], v1[f"adam.v.{v1_index[part]}"])
+
+    def test_missing_gate_array_rejected(self, tmp_path):
+        meta, arrays = CK.load_container(FIXTURES / "tla_net_v1.tlac", CK.MODEL_MAGIC)
+        del arrays["enc2.s1.l0.b_output"]
+        path = tmp_path / "cut.tlac"
+        CK.save_container(path, CK.MODEL_MAGIC, meta, list(arrays.items()))
+        set_version(path, 1)
+        with pytest.raises(CK.ArtifactMismatch, match="enc2.s1.l0.b_output"):
+            CK.load_checkpoint(path)
+
+
+def checkpoint_with_head(path, kind="lstm"):
+    vocab = make_vocab()
+    if kind == "word2vec-features":
+        from tlanet.word2vec import Word2VecModel
+        counts = np.array([float(vocab.count_of(i)) for i in range(vocab.size)])
+        model = Word2VecModel.init(vocab.size, 4, counts, negatives=3, seed=1)
+        cfg = M.ClassifierConfig(vocab_size=vocab.size, embed_dim=4, max_len=5)
+    else:
+        model, cfg = make_model(vocab, kind=kind)
+    CK.save_checkpoint(path, kind, cfg, vocab, model, make_head(), extras={"epochs_trained": 1})
+    return path
+
+
+# (meta key, how to break it, the kind of checkpoint that reads it)
+BAD_META = [
+    ("config", None, "lstm"),
+    ("config", {"vocab_size": 5, "bogus": 1}, "lstm"),
+    ("vocab", None, "lstm"),
+    ("vocab", {"id_to_token": ["a"], "counts": [], "max_size": 1, "min_freq": 1}, "lstm"),
+    ("vocab_hash", 12345, "lstm"),
+    ("kind", None, "lstm"),
+    ("kind", "transformer", "lstm"),
+    ("w2v", None, "word2vec-features"),
+    ("w2v", {"embed_dim": "four", "negatives": 3, "padding_idx": 0}, "word2vec-features"),
+    ("head", {"level": 0.5}, "lstm"),
+    ("extras", [1], "lstm"),
+]
+
+
+def break_meta(path, key, value):
+    """Re-save a checkpoint with ``meta[key]`` removed (``value`` None) or replaced."""
+    meta, arrays = CK.load_container(path, CK.MODEL_MAGIC)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    CK.save_container(path, CK.MODEL_MAGIC, meta, list(arrays.items()))
+
+
+class TestCheckpointMeta:
+    @pytest.mark.parametrize("key,value,kind", BAD_META)
+    def test_missing_or_ill_typed_key_rejected(self, tmp_path, key, value, kind):
+        path = checkpoint_with_head(tmp_path / "m.tlac", kind)
+        break_meta(path, key, value)
+        with pytest.raises(CK.ArtifactMismatch, match=repr(key)):
+            CK.load_checkpoint(path)
+
+    def test_missing_head_array_rejected(self, tmp_path):
+        path = checkpoint_with_head(tmp_path / "m.tlac")
+        meta, arrays = CK.load_container(path, CK.MODEL_MAGIC)
+        del arrays["head.bias"]
+        CK.save_container(path, CK.MODEL_MAGIC, meta, list(arrays.items()))
+        with pytest.raises(CK.ArtifactMismatch, match="head.bias"):
+            CK.load_checkpoint(path)

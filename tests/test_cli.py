@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ import pytest
 from tlanet import checkpoint as CK
 from tlanet import cli
 from tlanet import gradcheck as GC
+from tlanet import models as M
 from tlanet import tensor as T
+from tlanet import text as TXT
+from tlanet import wisdomnet as W
+from tlanet.word2vec import Word2VecModel
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def small_config(tmp_path, model="lstm", epochs=4, seed=11, name="config.json", **extra):
@@ -33,6 +40,49 @@ def small_config(tmp_path, model="lstm", epochs=4, seed=11, name="config.json", 
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=2))
     return path, cfg
+
+
+def tiny_checkpoint(path, kind="lstm"):
+    """An untrained checkpoint with a rejection head, written without training."""
+    vocab = TXT.build_vocab([["alpha", "beta", "gamma"]], max_size=20)
+    cfg = M.ClassifierConfig(vocab_size=vocab.size, embed_dim=4, hidden_size=4, num_layers=1,
+                             dropout=0.0, max_len=12, head_hidden=4)
+    if kind == "word2vec-features":
+        counts = np.array([float(vocab.count_of(i)) for i in range(vocab.size)])
+        model = Word2VecModel.init(vocab.size, 4, counts, negatives=2, seed=1)
+    else:
+        model = M.build_model(kind, cfg)
+    head = W.WisdomNetHead(T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros(3)), 0.5)
+    CK.save_checkpoint(path, kind, cfg, vocab, model, head, extras={"epochs_trained": 1})
+    return path
+
+
+def expect_one_line_error(capsys, code, argv):
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+class TestUnknownBuiltinDataset:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "augment"])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command):
+        if command == "train":
+            config, _ = small_config(tmp_path, datasets={"english": {"train": "builtin:nope"}})
+            argv = ["train", "--config", str(config)]
+        elif command == "augment":
+            raw = {"train": "builtin:nope", "test": "builtin:synthetic-test"}
+            config, _ = small_config(tmp_path, augmentation={"raw": {"english": raw},
+                                                             "build": ["semi-noisy"]})
+            argv = ["augment", "--config", str(config)]
+        else:
+            ckpt = tiny_checkpoint(tmp_path / "m.tlac")
+            argv = ["evaluate", "--checkpoint", str(ckpt), "--dataset", "builtin:nope",
+                    "--out", str(tmp_path / "eval")]
+        err = expect_one_line_error(capsys, 2, argv)
+        assert "unknown builtin dataset 'nope'" in err
 
 
 class TestTrainCommand:
@@ -95,6 +145,21 @@ class TestTrainCommand:
                          "--resume", str(half_dir / "checkpoint.tlac")]) == 0
         assert ((straight / "checkpoint.tlac").read_bytes()
                 == (resumed / "checkpoint.tlac").read_bytes())
+
+    def test_resume_from_v1_checkpoint(self, tmp_path):
+        # the fixture was trained one epoch by the per-gate (v1) code, which
+        # also recorded the trace of resuming it for a second epoch
+        fixture = json.loads((FIXTURES / "tla_net_v1.json").read_text())
+        raw = dict(fixture["train_config"], out_dir=str(tmp_path / "resumed"))
+        raw["optimizer"] = dict(raw["optimizer"], epochs=2)
+        config = tmp_path / "resume.json"
+        config.write_text(json.dumps(raw))
+        assert cli.main(["train", "--config", str(config),
+                         "--resume", str(FIXTURES / "tla_net_v1.tlac")]) == 0
+        manifest = json.loads((tmp_path / "resumed" / "manifest.json").read_text())
+        assert manifest["epochs_trained"] == 2
+        assert len(manifest["trace"]) == 1
+        assert np.abs(np.array(manifest["trace"]) - fixture["resumed_trace"]).max() <= 1e-12
 
     def test_resume_kind_mismatch_exit_4(self, tmp_path):
         config, _ = small_config(tmp_path, epochs=2)
@@ -258,6 +323,27 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("config", None, "lstm"),
+        ("vocab", None, "lstm"),
+        ("vocab_hash", 12345, "lstm"),
+        ("kind", None, "lstm"),
+        ("w2v", None, "word2vec-features"),
+        ("head", {"level": 0.5}, "lstm"),
+    ])
+    def test_malformed_meta_exit_4(self, tmp_path, capsys, key, value, kind):
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac", kind)
+        meta, arrays = CK.load_container(ckpt, CK.MODEL_MAGIC)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        CK.save_container(ckpt, CK.MODEL_MAGIC, meta, list(arrays.items()))
+        err = expect_one_line_error(capsys, 4, [
+            "evaluate", "--checkpoint", str(ckpt), "--dataset", "builtin:synthetic-test",
+            "--out", str(tmp_path / "eval")])
+        assert repr(key) in err
 
     def test_word2vec_checkpoint_evaluates(self, tmp_path):
         from tlanet.synthetic import builtin_dataset_path

@@ -1,6 +1,7 @@
-"""Layer blocks: LSTM cell and stacks, the two BiLSTM directions, dense, embedding."""
+"""Layer blocks: the packed LSTM layer and stacks, the two BiLSTM directions, dense, embedding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,101 +16,165 @@ def zero_cell(input_size=2, hidden_size=2):
     return L.LSTMCellParams.zeros(input_size, hidden_size)
 
 
+def run_cell(p, x, **kwargs):
+    return T.lstm_layer(x, p.w, p.u, p.b, **kwargs)
+
+
 class TestLSTMCell:
     def test_zero_parameters_give_zero_state(self):
         p = zero_cell()
-        state = L.lstm_cell_step(p, T.Tensor([[1.0, -1.0]]), L.LSTMState.zeros(1, 2))
-        assert np.all(state.h.array == 0.0)
-        assert np.all(state.c.array == 0.0)
+        h = run_cell(p, T.Tensor([[[1.0, -1.0]], [[0.5, 2.0]]]))
+        assert h.shape == (2, 1, 2)
+        assert np.all(h.array == 0.0)
 
     def test_forget_bias_hand_case(self):
-        # zero weights except forget bias +10, previous cell [1]: the gate
-        # equations collapse to i=o=0.5, f=sigmoid(10), g=0
+        # zero weights except forget bias +10 and an input-gate row that
+        # writes 1 into the cell at step 1 (i = sigmoid(large), g = tanh(large)):
+        # step 2 then carries that cell through f = sigmoid(10) with i*g = 0
         p = zero_cell(input_size=1, hidden_size=1)
-        p.b["forget"].values[:] = 10.0
-        prev = L.LSTMState(T.Tensor([[0.0]]), T.Tensor([[1.0]]))
-        state = L.lstm_cell_step(p, T.Tensor([[0.3]]), prev)
+        gates = dict(zip(L.GATES, range(4)))
+        p.b.values[gates["forget"]] = 10.0
+        p.w.values[gates["input"]] = 40.0
+        p.w.values[gates["candidate"]] = 40.0
+        h = run_cell(p, T.Tensor([[[1.0]], [[0.0]]]))
         f = 1.0 / (1.0 + math.exp(-10.0))
-        expected_c = f * 1.0
+        c1 = 1.0
+        assert math.isclose(h.array[0, 0, 0], 0.5 * math.tanh(c1), rel_tol=1e-12)
+        expected_c = f * c1
         expected_h = 0.5 * math.tanh(expected_c)
-        assert math.isclose(state.c.item(), expected_c, rel_tol=1e-12)
-        assert math.isclose(state.h.item(), expected_h, rel_tol=1e-12)
-        assert math.isclose(state.c.item(), 0.99995, abs_tol=1e-4)
-        assert math.isclose(state.h.item(), 0.38077, abs_tol=1e-4)
+        assert math.isclose(h.array[1, 0, 0], expected_h, rel_tol=1e-12)
+        assert math.isclose(expected_c, 0.99995, abs_tol=1e-4)
+        assert math.isclose(h.array[1, 0, 0], 0.38077, abs_tol=1e-4)
 
     def test_gradients_all_parameters(self):
         rng = np.random.default_rng(5)
         p = L.LSTMCellParams.init(3, 4, rng)
-        xs = [T.constant(rng.uniform(-1, 1, (1, 3))) for _ in range(4)]
+        xs = T.constant(rng.uniform(-1, 1, (4, 1, 3)))
 
         def loss_fn():
-            state = L.LSTMState.zeros(1, 4)
-            for x in xs:
-                state = L.lstm_cell_step(p, x, state)
-            return T.total_sum(state.h)
+            return T.total_sum(run_cell(p, xs, last_only=True))
 
         assert check_gradients(loss_fn, list(p.tensors())) <= 1e-4
 
     def test_dimension_error_names_gate(self):
         p = zero_cell(input_size=2, hidden_size=3)
-        with pytest.raises(T.ShapeError, match="input gate"):
-            L.lstm_cell_step(p, T.Tensor([[1.0, 2.0, 3.0]]), L.LSTMState.zeros(1, 3))
-        with pytest.raises(T.ShapeError, match="forget gate"):
-            L.lstm_cell_step(p, T.Tensor([[1.0, 2.0]]), L.LSTMState.zeros(1, 2))
+        with pytest.raises(T.ShapeError, match="input width 3"):
+            run_cell(p, T.Tensor([[[1.0, 2.0, 3.0]]]))
+        with pytest.raises(T.ShapeError, match="recurrent gate weights"):
+            T.lstm_layer(T.Tensor([[[1.0, 2.0]]]), p.w, T.Tensor.zeros((12, 2)), p.b)
+        with pytest.raises(T.ShapeError, match="recurrent gate weights"):
+            L.LSTMCellParams(p.w, T.Tensor.zeros((12, 2)), p.b)
+
+    def test_packed_rows_follow_gate_order(self):
+        # a forget bias of 1 lands in rows [H, 2H) of b, as torch.nn.LSTM packs it
+        p = L.LSTMCellParams.init(2, 3, np.random.default_rng(4))
+        assert p.w.shape == (12, 2) and p.u.shape == (12, 3) and p.b.shape == (12,)
+        assert np.array_equal(p.b.array, [0.0] * 3 + [1.0] * 3 + [0.0] * 6)
+
+    def test_forward_outside_a_tape_keeps_no_cache(self):
+        # a repeat vector read over many steps needs only (batch, 4H) of
+        # work space untaped; the per-step caches of one taped call are
+        # many times that
+        rng = np.random.default_rng(6)
+        p = L.LSTMCellParams.init(8, 16, rng)
+        x = T.Tensor(rng.uniform(-1, 1, (4, 8)))
+        steps = 400
+        one_sequence = steps * 4 * 16 * 8  # bytes of a (steps, batch, hidden) array
+
+        def peak(taped):
+            tracemalloc.start()
+            try:
+                if taped:
+                    with T.Tape():
+                        out = run_cell(p, x, steps=steps, last_only=True)
+                else:
+                    out = run_cell(p, x, steps=steps, last_only=True)
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        untaped, a = peak(False)
+        taped, b = peak(True)
+        assert np.array_equal(a.array, b.array)
+        assert untaped < one_sequence / 4
+        assert taped > 5 * one_sequence
 
 
 class TestStackedLSTM:
     def test_zero_params_zero_hiddens(self):
         stack = L.StackedLSTMParams(
             [zero_cell(2, 3), zero_cell(3, 3)], dropout=0.0)
-        seq = [T.Tensor([[0.4, -0.2]]) for _ in range(4)]
-        out, finals = L.lstm_forward(stack, seq)
-        assert len(out) == 4
-        assert all(np.all(h.array == 0.0) for h in out)
-        assert len(finals) == 2
+        seq = T.Tensor(np.tile([0.4, -0.2], (4, 1, 1)))
+        out = L.lstm_forward(stack, seq)
+        assert out.shape == (4, 1, 3)
+        assert np.all(out.array == 0.0)
+        assert L.lstm_forward(stack, seq, last_only=True).shape == (1, 3)
 
     def test_inference_ignores_rng(self):
         rng = np.random.default_rng(6)
         stack = L.StackedLSTMParams.init(2, 3, num_layers=2, dropout=0.5, rng=rng)
-        seq = [T.Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(3)]
-        a, _ = L.lstm_forward(stack, seq, training=False, rng=np.random.default_rng(1))
-        b, _ = L.lstm_forward(stack, seq, training=False, rng=np.random.default_rng(999))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.array, y.array)
+        seq = T.Tensor(rng.uniform(-1, 1, (3, 1, 2)))
+        a = L.lstm_forward(stack, seq, training=False, rng=np.random.default_rng(1))
+        b = L.lstm_forward(stack, seq, training=False, rng=np.random.default_rng(999))
+        assert np.array_equal(a.array, b.array)
 
     def test_reference_width_three_layers_128_cells(self):
         rng = np.random.default_rng(7)
         stack = L.StackedLSTMParams.init(8, 128, num_layers=3, dropout=0.2, rng=rng)
-        seq = [T.Tensor(rng.uniform(-1, 1, (1, 8))) for _ in range(20)]
-        out, finals = L.lstm_forward(stack, seq)
-        assert len(out) == 20
-        assert all(h.shape == (1, 128) for h in out)
-        assert len(finals) == 3
+        seq = T.Tensor(rng.uniform(-1, 1, (20, 1, 8)))
+        out = L.lstm_forward(stack, seq)
+        assert out.shape == (20, 1, 128)
+        assert len(stack.cells) == 3
 
     def test_training_dropout_needs_rng(self):
         rng = np.random.default_rng(8)
         stack = L.StackedLSTMParams.init(2, 2, num_layers=2, dropout=0.2, rng=rng)
-        seq = [T.Tensor([[1.0, 1.0]])]
+        seq = T.Tensor([[[1.0, 1.0]]])
         with pytest.raises(ValueError, match="rng"):
             L.lstm_forward(stack, seq, training=True, rng=None)
 
     def test_training_is_seed_deterministic(self):
         init_rng = np.random.default_rng(9)
         stack = L.StackedLSTMParams.init(2, 3, num_layers=2, dropout=0.3, rng=init_rng)
-        seq = [T.Tensor([[0.5, -0.5]]) for _ in range(3)]
-        a, _ = L.lstm_forward(stack, seq, training=True, rng=np.random.default_rng(42))
-        b, _ = L.lstm_forward(stack, seq, training=True, rng=np.random.default_rng(42))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.array, y.array)
+        seq = T.Tensor(np.tile([0.5, -0.5], (3, 1, 1)))
+        a = L.lstm_forward(stack, seq, training=True, rng=np.random.default_rng(42))
+        b = L.lstm_forward(stack, seq, training=True, rng=np.random.default_rng(42))
+        assert np.array_equal(a.array, b.array)
 
     def test_empty_sequence_rejected(self):
         stack = L.StackedLSTMParams([zero_cell()], dropout=0.0)
         with pytest.raises(ValueError, match="non-empty"):
-            L.lstm_forward(stack, [])
+            L.lstm_forward(stack, T.Tensor(np.zeros((0, 1, 2))))
 
     def test_layer_width_chain_validated(self):
         with pytest.raises(T.ShapeError):
             L.StackedLSTMParams([zero_cell(2, 3), zero_cell(2, 3)], dropout=0.0)
+
+    def test_one_tape_record_per_layer(self):
+        rng = np.random.default_rng(19)
+        stack = L.StackedLSTMParams.init(2, 3, num_layers=3, dropout=0.0, rng=rng)
+        for seq, steps in ((T.Tensor(rng.uniform(-1, 1, (7, 2, 2))), None),
+                           (T.Tensor(rng.uniform(-1, 1, (2, 2))), 7)):
+            with T.Tape() as tape:
+                L.lstm_forward(stack, seq, steps=steps, last_only=True)
+            assert len(tape) == 3
+
+    def test_matches_step_by_step_reference(self):
+        # the gate equations evaluated one step at a time in plain numpy
+        rng = np.random.default_rng(16)
+        p = L.LSTMCellParams.init(3, 4, rng)
+        xs = rng.uniform(-1, 1, (5, 2, 3))
+        w, u, b = p.w.array, p.u.array, p.b.array
+        h, c = np.zeros((2, 4)), np.zeros((2, 4))
+        expected = []
+        for x in xs:
+            z = x @ w.T + h @ u.T + b
+            i, f, o = (1.0 / (1.0 + np.exp(-z[:, k * 4:(k + 1) * 4])) for k in range(3))
+            c = f * c + i * np.tanh(z[:, 12:])
+            h = o * np.tanh(c)
+            expected.append(h)
+        out = L.lstm_forward(L.StackedLSTMParams([p]), T.Tensor(xs))
+        assert np.allclose(out.array, expected, rtol=0.0, atol=1e-14)
 
 
 def bilstm_model(hidden_size, seed=10):
@@ -122,13 +187,12 @@ class TestBiLSTM:
     def test_palindrome_symmetry(self):
         rng = np.random.default_rng(10)
         stack = L.StackedLSTMParams.init(2, 3, num_layers=1, dropout=0.0, rng=rng)
-        mid = T.Tensor([[0.3, 0.7]])
-        edge = T.Tensor([[-0.5, 0.2]])
-        seq = [edge, mid, edge]
-        fwd_seq, _ = L.lstm_forward(stack, seq)
-        bwd_seq, _ = L.lstm_forward(stack, list(reversed(seq)))
-        for f, b in zip(fwd_seq, bwd_seq):
-            assert np.allclose(f.array, b.array, atol=1e-15)
+        mid = [[0.3, 0.7]]
+        edge = [[-0.5, 0.2]]
+        seq = T.Tensor([edge, mid, edge])
+        fwd_seq = L.lstm_forward(stack, seq)
+        bwd_seq = L.lstm_forward(stack, T.Tensor(seq.array[::-1]))
+        assert np.allclose(fwd_seq.array, bwd_seq.array, atol=1e-15)
 
     def test_zero_params_width(self):
         model = bilstm_model(hidden_size=3)
@@ -143,9 +207,9 @@ class TestBiLSTM:
         model = bilstm_model(hidden_size=2, seed=11)
         ids = np.array([[2, 7, 3]])
         features = model.forward_batch(ids).features
-        seq = model._embed_steps(ids)
-        _, bwd_finals = L.lstm_forward(model.bwd, list(reversed(seq)))
-        assert np.array_equal(features.array[:, 2:], bwd_finals[-1].h.array)
+        reversed_seq = T.Tensor(model._embed(ids).array[::-1])
+        bwd_final = L.lstm_forward(model.bwd, reversed_seq, last_only=True)
+        assert np.array_equal(features.array[:, 2:], bwd_final.array)
 
     def test_hidden_size_mismatch(self):
         model = bilstm_model(hidden_size=3)
@@ -224,20 +288,29 @@ class TestEmbedding:
 
 
 class TestRepeatSequence:
+    """A (batch, in) input to ``lstm_layer`` is a repeat vector: every step reads it."""
+
+    def make(self, seed=17):
+        rng = np.random.default_rng(seed)
+        return L.LSTMCellParams.init(2, 3, rng), rng
+
     def test_rows_identical_to_input(self):
+        p, _ = self.make()
         v = T.Tensor([[1.5, -2.5]])
-        seq = L.repeat_sequence(v, 4)
-        assert len(seq) == 4
-        for step in seq:
-            assert np.array_equal(step.array, v.array)
+        tiled = T.Tensor(np.tile(v.array, (4, 1, 1)))
+        assert np.array_equal(run_cell(p, v, steps=4).array, run_cell(p, tiled).array)
 
     def test_gradient_equivalent_to_tiling(self):
-        v = T.Tensor([2.0, 3.0], requires_grad=True)
+        p, rng = self.make(18)
+        v = T.Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
+        tiled = T.Tensor(np.tile(v.array, (3, 1, 1)), requires_grad=True)
         with T.Tape() as tape:
-            seq = L.repeat_sequence(v, 3)
-            total = seq[0]
-            for s in seq[1:]:
-                total = T.add(total, s)
-            loss = T.total_sum(total)
+            loss = T.total_sum(run_cell(p, v, steps=3))
         tape.backward(loss)
-        assert np.array_equal(v.grad, [3.0, 3.0])
+        grad_w = p.w.grad.copy()
+        p.w.zero_grad()
+        with T.Tape() as tape:
+            loss = T.total_sum(run_cell(p, tiled))
+        tape.backward(loss)
+        assert np.allclose(v.grad_array, tiled.grad_array.sum(axis=0), atol=1e-14)
+        assert np.allclose(grad_w, p.w.grad, atol=1e-14)

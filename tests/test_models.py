@@ -100,8 +100,7 @@ class TestLstmAutoencoder:
     def test_output_shapes_and_distribution(self):
         model = M.LstmAutoencoder(small_config())
         out = model.forward_batch(np.array([[2, 3, 4, 5]]))
-        assert len(out.recon_steps) == 4
-        assert out.recon_steps[0].shape == (1, 4)
+        assert out.reconstruction.shape == (4, 4)  # one row per step
         assert abs(out.probs.array.sum() - 1.0) <= 1e-9
         assert out.recon_loss is not None
 
@@ -118,9 +117,9 @@ class TestLstmAutoencoder:
     def test_bce_reconstruction_mode(self):
         model = M.LstmAutoencoder(small_config(recon_mode="bce"))
         out = model.forward_batch(np.array([[2, 3, 4]]))
-        assert out.recon_steps[0].shape == (1, 10)  # vocab-sized sigmoid rows
+        assert out.reconstruction.shape == (3, 10)  # vocab-sized sigmoid rows
         assert out.recon_loss.item() > 0.0
-        probs = out.recon_steps[0].array
+        probs = out.reconstruction.array
         assert ((probs > 0.0) & (probs < 1.0)).all()
 
 
@@ -165,8 +164,7 @@ class TestTlaNet:
         model = M.TlaNet(small_config())
         out = model.forward_batch(np.array([[2, 3, 4]]))
         assert abs(out.probs.array.sum() - 1.0) <= 1e-9
-        assert len(out.recon_steps) == 3
-        assert out.recon_steps[0].shape == (1, 4)
+        assert out.reconstruction.shape == (3, 4)
         assert out.features.shape == (1, 4)
 
     def test_identical_encoders_fuse_to_single_encoding(self):
@@ -177,7 +175,7 @@ class TestTlaNet:
                 for a, b in zip(src.tensors(), dst.tensors()):
                     b.values[:] = a.values
         ids = np.array([[2, 5, 7]])
-        seq = model._embed_steps(ids)
+        seq = model._embed(ids)
         encodings = [model._encode(k, seq, False, None) for k in range(3)]
         for e in encodings[1:]:
             assert np.allclose(e.array, encodings[0].array, atol=1e-15)
@@ -199,6 +197,44 @@ class TestTlaNet:
         rng = np.random.default_rng(0)
         dropped = model.forward_batch(tokens, training=True, rng=rng).probs.array
         assert not np.allclose(plain, dropped)
+
+    @pytest.mark.parametrize("class_tap", ["fused", "reconstruction"])
+    def test_batch_rows_independent(self, class_tap):
+        # the whole-sequence heads flatten (steps, batch) into rows; a row
+        # read under the wrong example or step would make examples interact
+        model = M.TlaNet(small_config(class_tap=class_tap, seed=12))
+        tokens = np.array([[2, 3, 4, 0], [5, 6, 7, 8], [9, 1, 0, 0]])
+        probs, feats, recon = model.predict_batch(tokens)
+        for r, row in enumerate(tokens):
+            p1, f1, rec1 = model.predict_batch(row[None, :])
+            assert np.allclose(probs[r], p1[0], rtol=0.0, atol=1e-14)
+            assert np.allclose(feats[r], f1[0], rtol=0.0, atol=1e-14)
+            assert np.allclose(recon[r], rec1[0], rtol=0.0, atol=1e-14)
+
+    def test_reconstruction_tap_gradient(self):
+        model = M.TlaNet(small_config(embed_dim=3, hidden_size=2, head_hidden=3, vocab_size=8,
+                                      class_tap="reconstruction"))
+        tokens = np.array([[2, 4, 7], [1, 5, 0]])
+
+        def loss_fn():
+            return model.training_loss(model.forward_batch(tokens), [1, 2])
+
+        assert check_gradients(loss_fn, [t for _, t in model.named_tensors()]) <= 1e-3
+
+    def test_step_tape_records(self):
+        # one record per LSTM layer, one meta-learner call per fusion, one
+        # reconstruction head over all steps: the count does not grow with steps
+        def records(num_layers, steps):
+            model = M.TlaNet(small_config(num_layers=num_layers, dropout=0.2, max_len=steps))
+            tokens = np.arange(2 * steps).reshape(2, steps) % 10
+            with T.Tape() as tape:
+                out = model.forward_batch(tokens, training=True, rng=np.random.default_rng(0))
+                model.losses(out, [0, 1])
+            return len(tape)
+
+        assert records(1, 12) == records(1, 3) <= 150
+        # each extra layer per stack adds its op and the dropout before it
+        assert records(2, 12) == records(1, 12) + 12 * 2
 
     def test_full_network_gradient(self):
         cfg = small_config(embed_dim=3, hidden_size=2, head_hidden=3, vocab_size=8)

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from tlanet import layers as L
 from tlanet import tensor as T
 from tlanet.gradcheck import check_gradients, ops_suite
 
@@ -245,23 +244,43 @@ class TestBackward:
 
 
 class TestMiscOps:
+    # a (batch, in) input to lstm_layer is a repeat vector read at every step
     def test_repeat_vector(self):
+        rng = np.random.default_rng(3)
+        w, u, b = (T.Tensor(rng.uniform(-1, 1, shape)) for shape in ((8, 2), (8, 2), (8,)))
         v = T.Tensor([[1.0, 2.0]])
-        out = L.repeat_sequence(v, 3)
-        assert [step.array.tolist() for step in out] == [[[1.0, 2.0]]] * 3
-        single = L.repeat_sequence(v, 1)
-        assert [step.array.tolist() for step in single] == [[[1.0, 2.0]]]
+        out = T.lstm_layer(v, w, u, b, steps=3)
+        tiled = T.lstm_layer(T.Tensor([[[1.0, 2.0]]] * 3), w, u, b)
+        assert out.shape == (3, 1, 2)
+        assert np.array_equal(out.array, tiled.array)
+        single = T.lstm_layer(v, w, u, b, steps=1)
+        assert np.array_equal(single.array, out.array[:1])
 
     def test_repeat_vector_rejects_zero(self):
+        w, u, b = T.Tensor.zeros((4, 1)), T.Tensor.zeros((4, 1)), T.Tensor.zeros((4,))
         with pytest.raises(ValueError):
-            L.repeat_sequence(T.Tensor([[1.0]]), 0)
+            T.lstm_layer(T.Tensor([[1.0]]), w, u, b, steps=0)
+        with pytest.raises(ValueError):
+            T.lstm_layer(T.Tensor([[1.0]]), w, u, b)
 
     def test_repeat_vector_gradient_sums(self):
-        v = T.Tensor([[1.0, 2.0]], requires_grad=True)
-        with T.Tape() as tape:
-            loss = T.total_sum(T.concat(L.repeat_sequence(v, 4), axis=0))
-        tape.backward(loss)
-        assert np.array_equal(v.grad, [4.0, 4.0])
+        # no recurrent weights and a closed forget gate make every step the
+        # same function of the input, so 4 steps give 4 times one step's adjoint
+        w = T.Tensor(np.linspace(-1.0, 1.0, 16).reshape(8, 2), requires_grad=True)
+        w.values[4:8] = 0.0  # forget-gate rows
+        u, b = T.Tensor.zeros((8, 2)), T.Tensor.zeros((8,))
+        b.values[2:4] = -50.0
+
+        def input_grad(steps):
+            v = T.Tensor([[1.0, 2.0]], requires_grad=True)
+            with T.Tape() as tape:
+                loss = T.total_sum(T.lstm_layer(v, w, u, b, steps=steps))
+            tape.backward(loss)
+            return v.grad.copy()
+
+        one = input_grad(1)
+        assert np.abs(one).min() > 0.0
+        assert np.allclose(input_grad(4), 4.0 * one, rtol=1e-14, atol=0.0)
 
     def test_lookup_duplicate_accumulates(self):
         table = T.Tensor(np.ones((5, 2)), requires_grad=True)
