@@ -55,17 +55,34 @@ def _classifier_config(cfg: ExperimentConfig, vocab_size: int) -> M.ClassifierCo
     )
 
 
-def _w2v_sentences(vocab: TXT.Vocabulary, examples) -> list[list[int]]:
+def _w2v_sentences(vocab: TXT.Vocabulary, token_lists) -> list[list[int]]:
     sentences = []
-    for ex in examples:
-        ids = vocab.encode(TXT.tokenize(ex.text))
+    for tokens in token_lists:
+        ids = vocab.encode(tokens)
         if len(ids) >= 2:
             sentences.append(ids)
     return sentences
 
 
 def _w2v_feature_matrix(model: W2V.Word2VecModel, tokens: np.ndarray) -> np.ndarray:
-    return np.stack([W2V.word2vec_features(model, row) for row in tokens])
+    """``word2vec_features`` of every row.
+
+    Each row's non-padding ids are summed in ascending order, one column at a
+    time, then divided by their count: the additions of ``word2vec_features``'s
+    mean, in its order, so the rows are bitwise equal to it for embed_dim >= 2
+    (at embed_dim 1 numpy's mean sums pairwise, and the last bits can differ).
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    pad = tokens == model.padding_idx
+    # padding sorts after every real id, so row r's ids fill its first counts[r] columns
+    ids = np.sort(np.where(pad, model.vocab_size, tokens), axis=1)
+    counts = tokens.shape[1] - pad.sum(axis=1)
+    ids[ids == model.vocab_size] = model.padding_idx
+    total = model.w_in[ids[:, 0]]
+    total[counts == 0] = 0.0
+    for j in range(1, tokens.shape[1]):
+        np.add(total, model.w_in[ids[:, j]], out=total, where=(j < counts)[:, None])
+    return np.divide(total, counts[:, None], out=total, where=counts[:, None] > 0)
 
 
 def _features_and_probs(bundle: ckpt.CheckpointBundle, tokens: np.ndarray):
@@ -96,6 +113,7 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None) -> dict:
     split = TXT.load_trac2(train_path, language=cfg.language)
     if not split.examples:
         raise ConfigError(f"datasets.{cfg.language}.train", f"no examples in {train_path}")
+    token_lists = [TXT.tokenize(ex.text) for ex in split.examples]
 
     bundle = None
     start_epoch = 0
@@ -110,10 +128,10 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None) -> dict:
         start_epoch = int(bundle.meta["extras"].get("epochs_trained", 0))
         max_len = bundle.config.max_len  # the model was built for this length
     else:
-        vocab = TXT.build_vocab((TXT.tokenize(ex.text) for ex in split.examples),
-                                cfg.classifier.max_vocab, cfg.classifier.min_freq)
+        vocab = TXT.build_vocab(token_lists, cfg.classifier.max_vocab, cfg.classifier.min_freq)
         max_len = cfg.classifier.max_len
-    tokens, labels = TXT.encode_dataset(vocab, split.examples, max_len)
+    tokens = TXT.encode_token_lists(vocab, token_lists, max_len)
+    labels = TXT.label_indices(split.examples)
 
     extras: dict = {}
     extra_arrays: list[tuple[str, np.ndarray]] = []
@@ -125,7 +143,7 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None) -> dict:
         counts = np.array([vocab.count_of(i) for i in range(vocab.size)], dtype=np.float64)
         model = W2V.Word2VecModel.init(vocab.size, w.embed_dim, counts,
                                        negatives=w.negatives, seed=cfg.seed)
-        sentences = _w2v_sentences(vocab, split.examples)
+        sentences = _w2v_sentences(vocab, token_lists)
         if not sentences:
             raise ConfigError(f"datasets.{cfg.language}.train",
                               "corpus has no sentences with at least 2 tokens")

@@ -104,18 +104,29 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 name = p.name or f"parameter #{i}"
                 raise TrainingDivergence(f"non-finite gradient in {name}", step=self.t)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, with the rounding of lr * m_hat / (sqrt(v_hat) + eps)
+            m, v = self.m[i], self.v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = m / b1t
+            update *= self.learning_rate
+            denom = v / b2t
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p.values -= update
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed for checkpointing; order matches ``params``."""
+        """Moment buffers keyed for checkpointing; order matches ``params``.
+
+        These are the live buffers, which the next ``step`` overwrites.
+        """
         out: dict[str, np.ndarray] = {}
         for i, (m, v) in enumerate(zip(self.m, self.v)):
             out[f"adam.m.{i}"] = m
@@ -123,6 +134,7 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
+        # copies: ``step`` updates the moments in place
         self.t = int(t)
         for i in range(len(self.params)):
             self.m[i] = arrays[f"adam.m.{i}"].copy()

@@ -83,11 +83,29 @@ class DatasetSplit:
         return len(self.examples)
 
 
+class _PunctuationTable(dict):
+    """``str.translate`` table that deletes Unicode punctuation (categories P*).
+
+    Each code point is looked up in ``unicodedata`` the first time it is
+    seen and remembered; every other code point maps to itself.
+    """
+
+    def __missing__(self, code: int):
+        kept = None if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = kept
+        return kept
+
+
+_PUNCTUATION = _PunctuationTable()
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase, delete every Unicode punctuation character, split on whitespace."""
-    lowered = text.lower()
-    kept = [ch for ch in lowered if not unicodedata.category(ch).startswith("P")]
-    return "".join(kept).split()
+    """Lowercase, delete every Unicode punctuation character, split on whitespace.
+
+    Punctuation is deleted in one ``str.translate`` pass through a table of
+    code points filled in as they are first seen.
+    """
+    return text.lower().translate(_PUNCTUATION).split()
 
 
 @dataclass
@@ -144,12 +162,22 @@ def encode_and_pad(vocab: Vocabulary, tokens: list[str], max_len: int) -> list[i
     return ids + [PAD_ID] * (max_len - len(ids))
 
 
+def encode_token_lists(vocab: Vocabulary, token_lists, max_len: int) -> np.ndarray:
+    """(examples, max_len) id matrix of already tokenized examples, read once in order."""
+    return np.asarray([encode_and_pad(vocab, tokens, max_len) for tokens in token_lists],
+                      dtype=np.int64)
+
+
+def label_indices(examples: list[LabeledExample]) -> np.ndarray:
+    """Class index of every example."""
+    return np.asarray([ex.label_index for ex in examples], dtype=np.int64)
+
+
 def encode_dataset(vocab: Vocabulary, examples: list[LabeledExample],
                    max_len: int) -> tuple[np.ndarray, np.ndarray]:
     """(tokens, labels) id matrices for a list of examples."""
-    rows = [encode_and_pad(vocab, tokenize(ex.text), max_len) for ex in examples]
-    labels = [ex.label_index for ex in examples]
-    return np.asarray(rows, dtype=np.int64), np.asarray(labels, dtype=np.int64)
+    rows = encode_token_lists(vocab, (tokenize(ex.text) for ex in examples), max_len)
+    return rows, label_indices(examples)
 
 
 REQUIRED_COLUMNS = ("id", "text", "label")

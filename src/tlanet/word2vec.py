@@ -3,11 +3,22 @@
 Gradients here are the analytic ones for the pair objective
 ``-log sigma(u.v) - sum_j log sigma(-u_j.v)``, applied with plain SGD on a
 linearly decaying rate. Negatives are drawn from the unigram
-distribution raised to 0.75. Updates are batched and fully vectorized.
+distribution raised to 0.75.
+
+Everything runs in numpy without a per-pair Python loop. The pair builder
+concatenates the sentences into one id array and reads each position's
+window as a fixed set of offsets, keeping those that stay inside the
+position's sentence; the pairs come out in the order of a loop over
+sentences, centres and context positions. A batch update scatters its
+gradient rows with ``np.bincount`` over flat ``row * dim + col`` indices:
+one scatter into the input embeddings for the centres, one into the
+output embeddings for the contexts and negatives together. Rows that
+repeat in a batch have their gradients summed before they are applied.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +73,21 @@ def pair_loss(model: Word2VecModel, center: int, context: int, negatives) -> flo
 
 
 def skipgram_pairs(sentences, window: int) -> np.ndarray:
-    """(center, context) id pairs for every position and offset within the window."""
-    pairs = []
-    for sent in sentences:
-        n = len(sent)
-        for i, center in enumerate(sent):
-            for j in range(max(0, i - window), min(n, i + window + 1)):
-                if j != i:
-                    pairs.append((center, sent[j]))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    """(center, context) id pairs for every position and offset within the window.
+
+    ``sentences`` is a sequence of id sequences. Pairs are ordered by
+    sentence, then centre position, then context position.
+    """
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64,
+                      count=int(lengths.sum()))
+    ends = np.repeat(np.cumsum(lengths), lengths)  # one past each position's sentence
+    starts = ends - np.repeat(lengths, lengths)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    context = np.arange(ids.size)[:, None] + offsets  # (positions, 2 * window)
+    keep = (context >= starts[:, None]) & (context < ends[:, None])
+    centers = np.broadcast_to(ids[:, None], context.shape)[keep]
+    return np.stack([centers, ids[context[keep]]], axis=1)
 
 
 def word2vec_train(model: Word2VecModel, sentences, epochs: int = 5, batch_size: int = 128,
@@ -121,15 +138,23 @@ def _batch_update(model: Word2VecModel, centers, contexts, negs, lr: float) -> f
     grad_u_pos = g_pos[:, None] * v
     grad_u_neg = g_neg[:, :, None] * v[:, None, :]
 
-    np.add.at(model.w_in, centers, -lr * grad_v)
-    np.add.at(model.w_out, contexts, -lr * grad_u_pos)
-    np.add.at(model.w_out, negs.reshape(-1), -lr * grad_u_neg.reshape(-1, model.embed_dim))
+    _scatter_add(model.w_in, centers, -lr * grad_v)
+    _scatter_add(model.w_out, np.concatenate([contexts, negs.reshape(-1)]),
+                 -lr * np.concatenate([grad_u_pos, grad_u_neg.reshape(-1, model.embed_dim)]))
     model.w_in[model.padding_idx] = 0.0
     model.w_out[model.padding_idx] = 0.0
 
     loss = -np.log(np.maximum(s_pos, 1e-300)).sum()
     loss -= np.log(np.maximum(1.0 - s_neg, 1e-300)).sum()
     return float(loss / centers.size)
+
+
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``table[rows[i]] += values[i]`` for every i, with repeated rows summed first."""
+    vocab, dim = table.shape
+    flat = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    sums = np.bincount(flat, weights=values.reshape(-1), minlength=vocab * dim)
+    table += sums.reshape(vocab, dim)
 
 
 def word2vec_features(model: Word2VecModel, token_ids) -> np.ndarray:

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from tlanet import models as M
 from tlanet import optim
 from tlanet import tensor as T
+from tlanet import text as TXT
 from tlanet.gradcheck import check_gradients
+from tlanet.synthetic import synthetic_examples
 
 
 def cce_one(probs, target):
@@ -183,6 +186,62 @@ class TestAdam:
         assert clone.t == adam.t
         assert np.array_equal(clone.m[0], adam.m[0])
         assert np.array_equal(clone.v[0], adam.v[0])
+
+
+class _AllocatingAdam(optim.Adam):
+    """Adam written with one new array per expression, as the step was before it
+    updated its moments in place; the reference for the in-place step."""
+
+    def step(self) -> None:
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / b1t
+            v_hat = self.v[i] / b2t
+            p.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class TestAdamInPlace:
+    def test_step_keeps_its_moment_buffers(self):
+        p = T.Tensor([1.0, 2.0], requires_grad=True)
+        adam = optim.Adam([p], learning_rate=0.01)
+        m, v = adam.m[0], adam.v[0]
+        for g in (0.5, -0.25):
+            p.grad[:] = g
+            adam.step()
+        assert adam.m[0] is m and adam.v[0] is v
+
+    def test_tla_net_fit_trace_bitwise_equal_to_allocating_step(self):
+        # acceptance config: embed 16, hidden 16, 1 layer, max_len 12, batch 32, 20 epochs
+        exs = synthetic_examples("train")
+        vocab = TXT.build_vocab((TXT.tokenize(e.text) for e in exs), 200, 1)
+        tokens, labels = TXT.encode_dataset(vocab, exs, 12)
+        cfg = M.ClassifierConfig(vocab_size=vocab.size, embed_dim=16, hidden_size=16,
+                                 num_layers=1, dropout=0.1, max_len=12, seed=3, head_hidden=16)
+        runs = []
+        for adam_class in (optim.Adam, _AllocatingAdam):
+            model = M.build_model("tla-net", cfg)
+            adam = adam_class([t for _, t in model.named_tensors()], learning_rate=0.003)
+            trace = M.fit(model, adam, tokens, labels, epochs=20, batch_size=32, seed=3)
+            runs.append((trace, [t.values for _, t in model.named_tensors()], adam))
+        (trace, params, adam), (ref_trace, ref_params, ref_adam) = runs
+        assert trace == ref_trace
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(params, ref_params))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(adam.m + adam.v, ref_adam.m + ref_adam.v))
+
+    def test_loaded_state_is_copied(self):
+        p = T.Tensor([1.0, 2.0], requires_grad=True)
+        arrays = {"adam.m.0": np.array([0.1, 0.2]), "adam.v.0": np.array([0.01, 0.04])}
+        saved = {k: v.copy() for k, v in arrays.items()}
+        adam = optim.Adam([p], learning_rate=0.01)
+        adam.load_state_arrays(arrays, 3)
+        p.grad[:] = 0.5
+        adam.step()
+        assert all(np.array_equal(arrays[k], saved[k]) for k in arrays)
 
 
 class TestSchedule:

@@ -1,5 +1,7 @@
 """Text pipeline: tokenizer golden rules, vocabulary, padding, corpus ingestion."""
 
+import unicodedata
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,26 @@ class TestTokenizer:
 
     def test_only_punctuation(self):
         assert TXT.tokenize("!!! ... ???") == []
+
+    @staticmethod
+    def per_character(text):
+        """The frozen rule spelled out one character at a time."""
+        lowered = text.lower()
+        kept = [ch for ch in lowered if not unicodedata.category(ch).startswith("P")]
+        return "".join(kept).split()
+
+    def test_matches_per_character_rule_on_every_bmp_code_point(self):
+        points = [chr(c) for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]
+        for ch in points:
+            text = f"a{ch}b {ch}"
+            assert TXT.tokenize(text) == self.per_character(text), hex(ord(ch))
+        everything = "".join(points)
+        assert TXT.tokenize(everything) == self.per_character(everything)
+
+    def test_danda_deleted_as_punctuation(self):
+        for text in ("আমি ভাত খাই।", "मैं ठीक हूँ। तुम?", "।।"):
+            assert TXT.tokenize(text) == self.per_character(text)
+        assert TXT.tokenize("আমি।ভাত") == ["আমিভাত"]
 
 
 class TestVocabulary:
