@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .models import MODEL_KINDS
 from .synthetic import builtin_dataset_path
+from .text import LABELS
 
 SCHEMA_VERSION = 1
 
@@ -172,6 +173,14 @@ def _positive(value, path, strict=True):
     return value
 
 
+def _num_classes(value):
+    # every corpus row carries one of the fixed labels, so the class count is theirs
+    if value != len(LABELS):
+        raise ConfigError("classifier.num_classes",
+                          f"must be {len(LABELS)}, one per label ({', '.join(LABELS)}), got {value}")
+    return value
+
+
 def _rate(value, path, lo=0.0, hi=1.0):
     if not lo <= value <= hi:
         raise ConfigError(path, f"must be in [{lo}, {hi}], got {value}")
@@ -200,7 +209,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         hidden_size=_positive(_require(c, "hidden_size", int, "classifier.", 128), "classifier.hidden_size"),
         num_layers=_positive(_require(c, "num_layers", int, "classifier.", 3), "classifier.num_layers"),
         dropout=_rate(_require(c, "dropout", float, "classifier.", 0.2), "classifier.dropout", hi=0.999),
-        num_classes=_positive(_require(c, "num_classes", int, "classifier.", 3), "classifier.num_classes"),
+        num_classes=_num_classes(_require(c, "num_classes", int, "classifier.", len(LABELS))),
         max_len=_positive(_require(c, "max_len", int, "classifier.", 128), "classifier.max_len"),
         head_hidden=_positive(_require(c, "head_hidden", int, "classifier.", 32), "classifier.head_hidden"),
         recon_mode=_require(c, "recon_mode", str, "classifier.", "mse"),

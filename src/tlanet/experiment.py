@@ -55,15 +55,6 @@ def _classifier_config(cfg: ExperimentConfig, vocab_size: int) -> M.ClassifierCo
     )
 
 
-def _w2v_sentences(vocab: TXT.Vocabulary, token_lists) -> list[list[int]]:
-    sentences = []
-    for tokens in token_lists:
-        ids = vocab.encode(tokens)
-        if len(ids) >= 2:
-            sentences.append(ids)
-    return sentences
-
-
 def _w2v_feature_matrix(model: W2V.Word2VecModel, tokens: np.ndarray) -> np.ndarray:
     """``word2vec_features`` of every row.
 
@@ -130,7 +121,6 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None) -> dict:
     else:
         vocab = TXT.build_vocab(token_lists, cfg.classifier.max_vocab, cfg.classifier.min_freq)
         max_len = cfg.classifier.max_len
-    tokens = TXT.encode_token_lists(vocab, token_lists, max_len)
     labels = TXT.label_indices(split.examples)
 
     extras: dict = {}
@@ -140,10 +130,14 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None) -> dict:
         if vocab.size < w.negatives + 1:
             raise ConfigError("word2vec.negatives",
                               f"vocabulary of {vocab.size} is smaller than negatives+1")
+        # one encoding per example: word2vec trains on whole sentences, and the
+        # pooled features read the first max_len ids
+        id_lists = [vocab.encode(tokens) for tokens in token_lists]
+        tokens = TXT.pad_id_lists(id_lists, max_len)
         counts = np.array([vocab.count_of(i) for i in range(vocab.size)], dtype=np.float64)
         model = W2V.Word2VecModel.init(vocab.size, w.embed_dim, counts,
                                        negatives=w.negatives, seed=cfg.seed)
-        sentences = _w2v_sentences(vocab, token_lists)
+        sentences = [ids for ids in id_lists if len(ids) >= 2]
         if not sentences:
             raise ConfigError(f"datasets.{cfg.language}.train",
                               "corpus has no sentences with at least 2 tokens")
@@ -154,6 +148,7 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None) -> dict:
         feats = _w2v_feature_matrix(model, tokens)
         epochs_trained = w.epochs
     else:
+        tokens = TXT.encode_token_lists(vocab, token_lists, max_len)
         model = bundle.model if bundle is not None else \
             M.build_model(cfg.model, _classifier_config(cfg, vocab.size))
         params = [t for _, t in model.named_tensors()]

@@ -154,18 +154,27 @@ def build_vocab(token_lists, max_size: int, min_freq: int = 1) -> Vocabulary:
     return Vocabulary(token_to_id, id_to_token, dict(counter), max_size, min_freq)
 
 
-def encode_and_pad(vocab: Vocabulary, tokens: list[str], max_len: int) -> list[int]:
-    """Encode, truncate to the first ``max_len`` tokens, right-pad with PAD."""
+def pad_ids(ids: list[int], max_len: int) -> list[int]:
+    """Truncate to the first ``max_len`` ids, right-pad with PAD."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = vocab.encode(tokens[:max_len])
+    ids = ids[:max_len]
     return ids + [PAD_ID] * (max_len - len(ids))
+
+
+def encode_and_pad(vocab: Vocabulary, tokens: list[str], max_len: int) -> list[int]:
+    """Encode, truncate to the first ``max_len`` tokens, right-pad with PAD."""
+    return pad_ids(vocab.encode(tokens[:max_len]), max_len)
+
+
+def pad_id_lists(id_lists, max_len: int) -> np.ndarray:
+    """(examples, max_len) matrix of id lists, each passed through ``pad_ids``, read once in order."""
+    return np.asarray([pad_ids(ids, max_len) for ids in id_lists], dtype=np.int64)
 
 
 def encode_token_lists(vocab: Vocabulary, token_lists, max_len: int) -> np.ndarray:
     """(examples, max_len) id matrix of already tokenized examples, read once in order."""
-    return np.asarray([encode_and_pad(vocab, tokens, max_len) for tokens in token_lists],
-                      dtype=np.int64)
+    return pad_id_lists((vocab.encode(tokens[:max_len]) for tokens in token_lists), max_len)
 
 
 def label_indices(examples: list[LabeledExample]) -> np.ndarray:

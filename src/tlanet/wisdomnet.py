@@ -1,7 +1,11 @@
 """Softmax classification head that refuses to guess below a confidence threshold.
 
 The head is a plain linear-softmax classifier trained by full-batch
-gradient descent. At decision time the maximum class probability is
+gradient descent. Training runs in plain numpy with no tape: the gradient
+of the mean cross-entropy of a softmax is closed-form, and the loop does
+the tape's floating-point operations in the tape's order, so for fewer
+than 8 classes the trained head is bitwise the one the autodiff ops give.
+At decision time the maximum class probability is
 compared against a threshold: below it, the distinguished ``REJECTED``
 value is returned instead of a class index. The head attaches to any
 model's feature vector.
@@ -13,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import optim
-from . import tensor as T
+from .optim import PROB_FLOOR
 from .tensor import ShapeError, Tensor
 
 
@@ -84,7 +87,10 @@ def wisdomnet_train(data, labels, num_classes: int, epochs: int, learning_rate: 
     """Train the linear-softmax head by full-batch gradient descent.
 
     Passing an existing ``head`` continues training it in place. The
-    threshold plays no role during training.
+    threshold plays no role during training. With ``p`` the softmax and
+    ``p_t`` its target entry, the gradient of the loss with respect to the
+    logits is ``p * (onehot * gp - gp * p_t)``, where ``gp = -1 / (n * p_t)``
+    above ``PROB_FLOOR`` and 0 at or below it, as ``clip_log`` has it.
     """
     x = np.asarray(data, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -106,16 +112,32 @@ def wisdomnet_train(data, labels, num_classes: int, epochs: int, learning_rate: 
             Tensor(rng.uniform(-bound, bound, num_classes), requires_grad=True, name="head.b"),
             threshold,
         )
-    features = T.constant(x)
+    if x.shape[1] != head.feature_dim:
+        raise ShapeError(f"feature width {x.shape[1]} does not match head "
+                         f"expecting {head.feature_dim}")
+    x = np.ascontiguousarray(x)
+    n, k = x.shape[0], head.num_classes
+    w, b = head.weights.array, head.bias.values
+    picked = y * n + np.arange(n)  # each example's target entry in a flat (classes, n) array
+    loss_scale = -1.0 / n
+    p = np.empty((k, n))
+    gz = np.empty((n, k))
     for _ in range(epochs):
-        head.weights.zero_grad()
-        head.bias.zero_grad()
-        with T.Tape() as tape:
-            logits = T.add_bias(T.linear(features, head.weights), head.bias)
-            loss = optim.cce_rows(T.softmax_rows(logits), y)
-        tape.backward(loss)
-        head.weights.values -= learning_rate * head.weights.grad
-        head.bias.values -= learning_rate * head.bias.grad
+        # class-major, so the softmax's reductions over classes are element-wise
+        p[...] = (x @ w.T).T
+        p += b[:, None]
+        p -= p.max(axis=0)
+        np.exp(p, out=p)
+        p /= p.sum(axis=0)
+        p_t = p.reshape(-1).take(picked)
+        gp = np.where(p_t > PROB_FLOOR, loss_scale / np.maximum(p_t, PROB_FLOOR), 0.0)
+        s = gp * p_t
+        g = p * np.subtract(0.0, s)
+        g.reshape(-1)[picked] = p_t * (gp - s)
+        # the (n, k) layout gives the BLAS product and the bias sum the tape's rounding
+        gz[...] = g.T
+        w -= learning_rate * (gz.T @ x)
+        b -= learning_rate * gz.sum(axis=0)
     return head
 
 
@@ -183,8 +205,7 @@ def fit_rejection_head(features, labels, num_classes: int, epochs: int = 200,
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     head = wisdomnet_train(x, y, num_classes, epochs, learning_rate, seed, threshold)
-    preds = np.array(classify_batch(head, x, theta=0.0))
-    wrong = preds != y
+    wrong = head.probabilities(x).argmax(axis=1) != y
     if wrong.any():
         x2 = np.concatenate([x, x[wrong]], axis=0)
         y2 = np.concatenate([y, y[wrong]], axis=0)

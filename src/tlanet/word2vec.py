@@ -3,7 +3,9 @@
 Gradients here are the analytic ones for the pair objective
 ``-log sigma(u.v) - sum_j log sigma(-u_j.v)``, applied with plain SGD on a
 linearly decaying rate. Negatives are drawn from the unigram
-distribution raised to 0.75.
+distribution raised to 0.75, by searching its cumulative table, which each
+training call builds and checks once: the draws and the generator's state
+are those of ``Generator.choice`` with that distribution.
 
 Everything runs in numpy without a per-pair Python loop. The pair builder
 concatenates the sentences into one id array and reads each position's
@@ -101,6 +103,7 @@ def word2vec_train(model: Word2VecModel, sentences, epochs: int = 5, batch_size:
     pairs = skipgram_pairs(sentences, window)
     if pairs.shape[0] == 0:
         raise ValueError("no skip-gram pairs; corpus sentences are too short")
+    cdf = _sampling_cdf(model)
     batches_per_epoch = (pairs.shape[0] + batch_size - 1) // batch_size
     schedule = LinearDecaySchedule(lr_start, lr_end, max(1, epochs * batches_per_epoch - 1))
     trace = []
@@ -112,13 +115,33 @@ def word2vec_train(model: Word2VecModel, sentences, epochs: int = 5, batch_size:
         for lo in range(0, order.size, batch_size):
             sel = pairs[order[lo:lo + batch_size]]
             centers, contexts = sel[:, 0], sel[:, 1]
-            negs = rng.choice(model.vocab_size, size=(sel.shape[0], model.negatives),
-                              p=model.sampling)
+            # Generator.choice's own inverse-CDF search: the same draws, the same stream
+            negs = cdf.searchsorted(rng.random((sel.shape[0], model.negatives)), side="right")
             lr = schedule.rate(min(step, schedule.total_steps))
             loss_sum += _batch_update(model, centers, contexts, negs, lr) * sel.shape[0]
             step += 1
         trace.append(loss_sum / pairs.shape[0])
     return trace
+
+
+def _sampling_cdf(model: Word2VecModel) -> np.ndarray:
+    """The normalised cumulative sum that ``Generator.choice(p=model.sampling)`` searches.
+
+    The table is checked once here as ``choice`` would check it on every
+    call: one finite, non-negative probability per vocabulary entry,
+    summing to 1.
+    """
+    p = np.asarray(model.sampling, dtype=np.float64)
+    if p.shape != (model.vocab_size,):
+        raise ValueError(f"sampling table of shape {p.shape} does not match "
+                         f"vocab {model.vocab_size}")
+    if not np.isfinite(p).all() or (p < 0).any():
+        raise ValueError("sampling probabilities must be finite and non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError(f"sampling probabilities sum to {p.sum()!r}, not 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _batch_update(model: Word2VecModel, centers, contexts, negs, lr: float) -> float:

@@ -132,6 +132,17 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(config)]) == 2
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["lstm", "word2vec-features"])
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_num_classes_other_than_the_labels_exit_2(self, tmp_path, capsys, model, classes):
+        config, _ = small_config(tmp_path, model=model)
+        bad = json.loads(config.read_text())
+        bad["classifier"]["num_classes"] = classes
+        config.write_text(json.dumps(bad))
+        err = expect_one_line_error(capsys, 2, ["train", "--config", str(config)])
+        assert "classifier.num_classes" in err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_equals_straight_run(self, tmp_path):
         config6, _ = small_config(tmp_path, epochs=6, name="config6.json")
         straight = tmp_path / "straight"

@@ -1,5 +1,5 @@
-"""Training orchestration: one tokenizer pass per example, and the pooled
-word2vec feature matrix."""
+"""Training orchestration: one tokenizer pass and one vocabulary encoding per
+example, and the pooled word2vec feature matrix."""
 
 import numpy as np
 import pytest
@@ -53,6 +53,12 @@ class TestTokenizeOnce:
     @pytest.mark.parametrize("model", ["word2vec-features", "lstm"])
     def test_one_tokenize_call_per_example(self, tmp_path, monkeypatch, model):
         calls = spy(monkeypatch, TXT, "tokenize")
+        E.run_train(train_config(tmp_path, model))
+        assert len(calls) == len(examples())
+
+    @pytest.mark.parametrize("model", ["word2vec-features", "lstm"])
+    def test_one_vocabulary_encode_call_per_example(self, tmp_path, monkeypatch, model):
+        calls = spy(monkeypatch, TXT.Vocabulary, "encode")
         E.run_train(train_config(tmp_path, model))
         assert len(calls) == len(examples())
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tlanet import word2vec as W2V
+from tlanet.optim import LinearDecaySchedule
 
 
 def tiny_model(vocab=12, dim=4, k=3, seed=0):
@@ -164,6 +165,72 @@ class TestTraining:
         model = tiny_model(seed=6)
         trace = W2V.word2vec_train(model, self.corpus(rng), epochs=4, batch_size=64, seed=6)
         assert trace[-1] < trace[0]
+
+
+def choice_train(model, sentences, epochs, batch_size, lr_start=0.025, lr_end=0.001,
+                 window=5, seed=0):
+    """``word2vec_train`` drawing each batch's negatives with ``Generator.choice``."""
+    pairs = W2V.skipgram_pairs(sentences, window)
+    batches_per_epoch = (pairs.shape[0] + batch_size - 1) // batch_size
+    schedule = LinearDecaySchedule(lr_start, lr_end, max(1, epochs * batches_per_epoch - 1))
+    trace = []
+    step = 0
+    for epoch in range(epochs):
+        rng = np.random.default_rng((seed, epoch))
+        order = rng.permutation(pairs.shape[0])
+        loss_sum = 0.0
+        for lo in range(0, order.size, batch_size):
+            sel = pairs[order[lo:lo + batch_size]]
+            negs = rng.choice(model.vocab_size, size=(sel.shape[0], model.negatives),
+                              p=model.sampling)
+            lr = schedule.rate(min(step, schedule.total_steps))
+            loss_sum += W2V._batch_update(model, sel[:, 0], sel[:, 1], negs, lr) * sel.shape[0]
+            step += 1
+        trace.append(loss_sum / pairs.shape[0])
+    return trace
+
+
+class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("shape", [(1, 1), (13, 2), (256, 5)])
+    def test_draws_and_stream_equal_generator_choice(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 50, 40).astype(np.float64)  # zero counts never drawn
+        model = W2V.Word2VecModel.init(40, 4, counts, negatives=shape[1], seed=seed)
+        cdf = W2V._sampling_cdf(model)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            got = cdf.searchsorted(ours.random(shape), side="right")
+            want = theirs.choice(model.vocab_size, size=shape, p=model.sampling)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_training_bitwise_equal_to_choice_sampler(self, seed):
+        rng = np.random.default_rng(seed)
+        sentences = TestTraining().corpus(rng)
+        model, reference = tiny_model(seed=seed), tiny_model(seed=seed)
+        trace = W2V.word2vec_train(model, sentences, epochs=3, batch_size=24, window=2,
+                                   seed=seed)
+        expected = choice_train(reference, sentences, epochs=3, batch_size=24, window=2,
+                                seed=seed)
+        assert trace == expected
+        assert model.w_in.tobytes() == reference.w_in.tobytes()
+        assert model.w_out.tobytes() == reference.w_out.tobytes()
+
+    @pytest.mark.parametrize("table, message", [
+        ([np.nan] + [0.1] * 11, "finite"),
+        ([-0.1, 0.2] + [0.09] * 10, "non-negative"),
+        ([0.1] * 12, "sum to"),
+        ([0.25] * 4, "shape"),
+    ])
+    def test_bad_sampling_table_rejected_before_training(self, table, message):
+        model = tiny_model()
+        model.sampling = np.array(table)
+        before = model.w_in.copy()
+        with pytest.raises(ValueError, match=message):
+            W2V.word2vec_train(model, [[2, 3, 4]], epochs=1, batch_size=4, window=1)
+        assert np.array_equal(model.w_in, before)
 
 
 class TestFeatures:
