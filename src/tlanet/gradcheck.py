@@ -141,6 +141,8 @@ def ops_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     fd("op.lstm_layer", lambda: _lstm_layers(rng, layers=1))
     fd("op.lstm_layer[2 layers]", lambda: _lstm_layers(rng, layers=2, last_only=True))
     fd("op.lstm_layer[repeat vector]", lambda: _lstm_layers(rng, layers=1, repeat=True))
+    # one row sends the layer's (4H, H) @ (H, 1) products through BLAS's vector kernels
+    fd("op.lstm_layer[batch 1]", lambda: _lstm_layers(rng, layers=1, batch=1))
     return checks
 
 
@@ -205,14 +207,14 @@ def _dropout(rng):
     return [x], lambda: T.total_sum(T.tanh(T.dropout(x, 0.5, np.random.default_rng(seed))))
 
 
-def _lstm_layers(rng, layers: int, repeat: bool = False, last_only: bool = False):
-    """A stack of ``lstm_layer`` ops over a (4, 2, 3) sequence or a (2, 3) repeat vector.
+def _lstm_layers(rng, layers: int, repeat: bool = False, last_only: bool = False, batch: int = 2):
+    """A stack of ``lstm_layer`` ops over a (4, batch, 3) sequence or a (batch, 3) repeat vector.
 
     The loss weights every hidden state it reads differently (every step's,
     or the top layer's last one when ``last_only``), and the input is a
     parameter too, so the check covers the gradients of all four operands.
     """
-    steps, batch, width, hidden = 4, 2, 3, 3
+    steps, width, hidden = 4, 3, 3
     x = T.Tensor(rng.uniform(-1, 1, (batch, width) if repeat else (steps, batch, width)),
                  requires_grad=True)
     params = [x]

@@ -216,13 +216,3 @@ def emit_results_table(reports: dict, fmt: str = "text") -> str:
             {"rows": [{"model": m, "language": l, **v} for m, l, v in rows]},
             indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown results format {fmt!r}; use text, csv, or json")
-
-
-def parse_results_csv(content: str) -> dict[tuple[str, str], dict[str, float]]:
-    reader = csv.reader(io.StringIO(content))
-    header = next(reader)
-    out = {}
-    for row in reader:
-        rec = dict(zip(header, row))
-        out[(rec["model"], rec["language"])] = {k: float(rec[k]) for k in _TABLE_FIELDS}
-    return out

@@ -236,6 +236,18 @@ def _emit(values: np.ndarray, shape, inputs: tuple[Tensor, ...], rule) -> Tensor
     return out
 
 
+def _operands(inputs: tuple[Tensor, ...]) -> list[np.ndarray]:
+    """The input arrays an op computes from and its backward rule reads.
+
+    Under a recording tape they are copies, so an input changed in place
+    between forward and backward cannot reach the gradients; otherwise
+    they are views, and inference copies nothing.
+    """
+    if _recording_tape(inputs) is None:
+        return [t.array for t in inputs]
+    return [t.array.copy() for t in inputs]
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
@@ -258,7 +270,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    av, bv = a.array.copy(), b.array.copy()
+    av, bv = _operands((a, b))
     return _emit(av * bv, a.shape, (a, b), lambda g: (g * bv, g * av))
 
 
@@ -280,7 +292,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"linear needs rank-2 operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: input width {x.shape} does not match weight {w.shape}")
-    xv, wv = x.array.copy(), w.array.copy()
+    xv, wv = _operands((x, w))
     out = xv @ wv.T
 
     def rule(g):
@@ -373,8 +385,7 @@ def weighted_sum(attn: Tensor, parts: list[Tensor]) -> Tensor:
         if len(p.shape) != 2 or p.shape[0] != attn.shape[0] or p.shape != parts[0].shape:
             raise ShapeError(f"weighted_sum: parts {[q.shape for q in parts]} "
                              f"do not fit attention {attn.shape}")
-    av = attn.array.copy()
-    pv = [p.array.copy() for p in parts]
+    av, *pv = _operands((attn, *parts))
     out = av[:, 0:1] * pv[0]
     for k in range(1, len(pv)):
         out += av[:, k:k + 1] * pv[k]
@@ -418,7 +429,7 @@ def take_per_row(x: Tensor, indices) -> Tensor:
 
 def clip_log(x: Tensor, floor: float = 1e-12) -> Tensor:
     """``log(max(x, floor))``; gradient is 1/x above the floor, 0 at or below it."""
-    xv = x.array.copy()
+    (xv,) = _operands((x,))
     clipped = np.maximum(xv, floor)
     out = np.log(clipped)
 
@@ -475,12 +486,27 @@ def lstm_layer(x: Tensor, w: Tensor, u: Tensor, b: Tensor, steps: int | None = N
     hidden sequence (steps, batch, H), or only the last hidden state
     (batch, H) when ``last_only``.
 
-    The input projection of all steps is one product (one (batch, 4H)
-    product for a repeat vector), so only ``h @ u.T`` stays in the
-    recurrence. Backward is backpropagation through time over per-step
-    caches that are kept only when a tape records the call. It reads ``w``
-    and ``u`` by reference, which holds because parameters change only
-    after backward.
+    Inside, the layer is feature-major. A step's gates are one (4H, batch)
+    block ``z``: the sigmoid of the input, forget and output gates runs in
+    place on the contiguous rows ``z[:3H]``, the candidate's tanh on
+    ``z[3H:]``, and the cell is (H, batch). The recurrent product is
+    ``u @ h``, where ``h`` is the (H, batch) transpose view of a hidden
+    state stored batch-major, the layout the op returns. The sequence's
+    input projection is the one product ``x_rows @ w.T``, read through its
+    transpose at each step; a repeat vector's is ``w @ x.T``. With these
+    operand layouts OpenBLAS sums each product as the batch-major layer
+    (``h @ u.T`` on (batch, H) states) did, so outputs and gradients are
+    bitwise the same at every batch up to 192 and every multiple of 8
+    (OpenBLAS 0.3.31 on an AVX-512 Xeon); at other batch sizes some
+    products take another kernel and agree to a few ulps.
+
+    Backward is backpropagation through time over per-step caches that
+    are kept only when a tape records the call. Each step's gate adjoints
+    are formed in one contiguous (4H, batch) block and copied into
+    batch-major rows, which give the next ``dh`` and, after the loop, the
+    weight gradients summed over steps and batch rows in batch-major
+    order. It reads ``w`` and ``u`` by reference, which holds because
+    parameters change only after backward.
     """
     if len(w.shape) != 2 or len(u.shape) != 2 or w.shape[0] % 4 or w.shape[0] == 0:
         raise ShapeError(f"lstm_layer: gate weights {w.shape} and {u.shape} must be (4H, in) and (4H, H)")
@@ -505,70 +531,72 @@ def lstm_layer(x: Tensor, w: Tensor, u: Tensor, b: Tensor, steps: int | None = N
         raise ShapeError(f"lstm_layer: input width {x.shape[-1]} does not match gate weights {w.shape}")
 
     batch, width = x.shape[-2], x.shape[-1]
-    h2, h3 = 2 * hidden, 3 * hidden
+    h2, h3, h4 = 2 * hidden, 3 * hidden, 4 * hidden
     xv, wv, uv, bv = x.array, w.array, u.array, b.array
     if repeat:
-        xw = xv @ wv.T
-    else:
-        xw = (xv.reshape(steps * batch, width) @ wv.T).reshape(steps, batch, 4 * hidden)
+        xw = wv @ xv.T  # (4H, batch)
+    else:  # (steps, batch, 4H), read as (4H, batch) per step
+        xw = (xv.reshape(steps * batch, width) @ wv.T).reshape(steps, batch, h4)
+    bias = np.repeat(bv[:, None], batch, axis=1)  # a tile adds in one contiguous pass, a column does not
     keep = _recording_tape((x, w, u, b)) is not None
     if keep or not last_only:
         hs = np.zeros((steps + 1, batch, hidden))  # hs[t] is the state before step t
     if keep:
-        gates = np.empty((steps, batch, 4 * hidden))  # activated i, f, o, candidate
-        cs = np.zeros((steps + 1, batch, hidden))  # cs[t] is the cell before step t
-        tcs = np.empty((steps, batch, hidden))  # tanh of the cell after step t
-    z = np.empty((batch, 4 * hidden))
+        gates = np.empty((steps, h4, batch))  # activated i, f, o, candidate
+        cs = np.zeros((steps + 1, hidden, batch))  # cs[t] is the cell before step t
+        tcs = np.empty((steps, hidden, batch))  # tanh of the cell after step t
+    z = np.empty((h4, batch))
     h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    ut = uv.T
+    c = np.zeros((hidden, batch))
     for t in range(steps):
         if keep:
             z = gates[t]
-        np.matmul(h, ut, out=z)
-        z += xw if repeat else xw[t]
-        z += bv
-        sig = z[:, :h3]  # sigmoid as 1 / (1 + exp(-v)), in place
+        np.matmul(uv, h.T, out=z)
+        z += xw if repeat else xw[t].T
+        z += bias
+        sig = z[:h3]  # sigmoid as 1 / (1 + exp(-v)), in place
         np.negative(sig, out=sig)
         np.exp(sig, out=sig)
         sig += 1.0
         np.divide(1.0, sig, out=sig)
-        np.tanh(z[:, h3:], out=z[:, h3:])
+        np.tanh(z[h3:], out=z[h3:])
         c_new = cs[t + 1] if keep else np.empty_like(c)
-        np.multiply(z[:, hidden:h2], c, out=c_new)
-        c_new += z[:, :hidden] * z[:, h3:]
+        np.multiply(z[hidden:h2], c, out=c_new)
+        c_new += z[:hidden] * z[h3:]
         c = c_new
         tc = np.tanh(c, out=tcs[t]) if keep else np.tanh(c)
-        h = hs[t + 1] if keep or not last_only else np.empty_like(c)
-        np.multiply(z[:, h2:h3], tc, out=h)
+        h = hs[t + 1] if keep or not last_only else np.empty((batch, hidden))
+        np.multiply(z[h2:h3], tc, out=h.T)
     out = h if last_only else hs[1:]
 
     def rule(g):
-        i, f, o, cand = (gates[:, :, k * hidden:(k + 1) * hidden] for k in range(4))
+        i, f, o, cand = (gates[:, k * hidden:(k + 1) * hidden] for k in range(4))
         # the factors that do not depend on the adjoint, for all steps at once:
         # d_o = dh * k_o, dc += dh * k_c, and (d_i, d_f, d_cand) = dc * k_gates
         k_o = tcs * o * (1.0 - o)
         k_c = o * (1.0 - tcs * tcs)
-        k_gates = np.empty((steps, batch, 4, hidden))
-        k_gates[:, :, 0] = cand * i * (1.0 - i)
-        k_gates[:, :, 1] = cs[:steps] * f * (1.0 - f)
-        k_gates[:, :, 2] = 0.0
-        k_gates[:, :, 3] = i * (1.0 - cand * cand)
-        dz = np.empty((steps, batch, 4 * hidden))
-        dh = np.zeros((batch, hidden))
-        dc = np.zeros((batch, hidden))
+        k_gates = np.empty((steps, 4, hidden, batch))
+        k_gates[:, 0] = cand * i * (1.0 - i)
+        k_gates[:, 1] = cs[:steps] * f * (1.0 - f)
+        k_gates[:, 2] = 0.0
+        k_gates[:, 3] = i * (1.0 - cand * cand)
+        d = np.empty((4, hidden, batch))  # one step's gate adjoints
+        dz = np.empty((steps, batch, h4))  # all of them, batch-major
+        dh = np.zeros((hidden, batch))
+        dc = np.zeros((hidden, batch))
+        ut = uv.T
         for t in range(steps - 1, -1, -1):
             if not last_only:
-                dh = dh + g[t]
+                dh = dh + g[t].T
             elif t == steps - 1:
-                dh = dh + g
+                dh = dh + g.T
             dc += dh * k_c[t]
-            d = dz[t].reshape(batch, 4, hidden)
-            np.multiply(dc[:, None, :], k_gates[t], out=d)
-            np.multiply(dh, k_o[t], out=d[:, 2])
+            np.multiply(dc, k_gates[t], out=d)
+            np.multiply(dh, k_o[t], out=d[2])
             dc *= f[t]
-            dh = dz[t] @ uv
-        rows = dz.reshape(steps * batch, 4 * hidden)
+            np.copyto(dz[t], d.reshape(h4, batch).T)
+            dh = ut @ dz[t].T
+        rows = dz.reshape(steps * batch, h4)
         du = rows.T @ hs[:steps].reshape(steps * batch, hidden)
         db = rows.sum(axis=0)
         if repeat:

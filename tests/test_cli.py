@@ -1,5 +1,6 @@
 """Command surface: artifacts, determinism, resume, exit codes."""
 
+import csv
 import json
 import os
 import pathlib
@@ -374,15 +375,14 @@ class TestEvaluateCommand:
     def test_report_files_well_formed(self, trained):
         ckpt, _, tmp_path = trained
         from tlanet.synthetic import builtin_dataset_path
-        from tlanet.metrics import parse_results_csv
         out = tmp_path / "eval-files"
         assert cli.main(["evaluate", "--checkpoint", str(ckpt),
                          "--dataset", builtin_dataset_path("synthetic-test"),
                          "--out", str(out)]) == 0
-        parsed = parse_results_csv((out / "report.csv").read_text())
+        with open(out / "report.csv", newline="") as fh:
+            rows = {(r["model"], r["language"]): r for r in csv.DictReader(fh)}
         payload = json.loads((out / "report.json").read_text())
-        row = parsed[("lstm", "english")]
-        assert row["accuracy"] == payload["report"]["accuracy"]
+        assert float(rows[("lstm", "english")]["accuracy"]) == payload["report"]["accuracy"]
         assert (out / "report.txt").read_text().startswith("Model")
 
 

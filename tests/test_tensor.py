@@ -323,6 +323,153 @@ class TestMiscOps:
         assert abs(total / trials - 1.0) <= 0.02
 
 
+class TestOperandCopies:
+    """``linear``, ``mul``, ``weighted_sum`` and ``clip_log`` copy their operands only under a tape."""
+
+    OPS = {
+        "linear": (T.linear, ((3, 4), (2, 4))),
+        "mul": (T.mul, ((3, 4), (3, 4))),
+        "weighted_sum": (lambda a, p, q: T.weighted_sum(a, [p, q]), ((3, 2), (3, 4), (3, 4))),
+        "clip_log": (T.clip_log, ((3, 4),)),
+    }
+
+    def run(self, name, taped, mutate=False):
+        op, shapes = self.OPS[name]
+        rng = np.random.default_rng(21)
+        ins = [T.Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True) for shape in shapes]
+        if not taped:
+            return op(*ins).array.copy(), None
+        with T.Tape() as tape:
+            out = op(*ins)
+            loss = T.total_sum(T.tanh(out))
+        if mutate:
+            for t in ins:
+                t.values[:] = -3.0
+        tape.backward(loss)
+        return out.array.copy(), [t.grad.copy() for t in ins]
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_untaped_call_gives_the_same_bits(self, name):
+        assert np.array_equal(self.run(name, taped=False)[0], self.run(name, taped=True)[0])
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_taped_gradients_ignore_inputs_changed_after_forward(self, name):
+        _, grads = self.run(name, taped=True)
+        _, mutated = self.run(name, taped=True, mutate=True)
+        for g, m in zip(grads, mutated):
+            assert np.abs(g).max() > 0.0
+            assert np.array_equal(g, m)
+
+
+def batch_major_lstm(x, w, u, b, steps, last_only, g=None):
+    """The batch-major LSTM layer that ``T.lstm_layer`` replaced, as a plain-numpy reference.
+
+    States are (batch, H) and gates (batch, 4H) with strided gate columns;
+    each step adds ``h @ u.T``. Returns the output and, given the output
+    adjoint ``g``, the gradients of ``x``, ``w``, ``u`` and ``b``.
+    """
+    repeat = x.ndim == 2
+    batch, width = x.shape[-2], x.shape[-1]
+    hidden = u.shape[1]
+    h2, h3 = 2 * hidden, 3 * hidden
+    if repeat:
+        xw = x @ w.T
+    else:
+        xw = (x.reshape(steps * batch, width) @ w.T).reshape(steps, batch, 4 * hidden)
+    hs = np.zeros((steps + 1, batch, hidden))
+    cs = np.zeros((steps + 1, batch, hidden))
+    tcs = np.empty((steps, batch, hidden))
+    gates = np.empty((steps, batch, 4 * hidden))
+    for t in range(steps):
+        z = gates[t]
+        np.matmul(hs[t], u.T, out=z)
+        z += xw if repeat else xw[t]
+        z += b
+        sig = z[:, :h3]
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        np.tanh(z[:, h3:], out=z[:, h3:])
+        np.multiply(z[:, hidden:h2], cs[t], out=cs[t + 1])
+        cs[t + 1] += z[:, :hidden] * z[:, h3:]
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(z[:, h2:h3], tcs[t], out=hs[t + 1])
+    out = hs[steps] if last_only else hs[1:]
+    if g is None:
+        return out, None
+
+    i, f, o, cand = (gates[:, :, k * hidden:(k + 1) * hidden] for k in range(4))
+    k_o = tcs * o * (1.0 - o)
+    k_c = o * (1.0 - tcs * tcs)
+    k_gates = np.empty((steps, batch, 4, hidden))
+    k_gates[:, :, 0] = cand * i * (1.0 - i)
+    k_gates[:, :, 1] = cs[:steps] * f * (1.0 - f)
+    k_gates[:, :, 2] = 0.0
+    k_gates[:, :, 3] = i * (1.0 - cand * cand)
+    dz = np.empty((steps, batch, 4 * hidden))
+    dh = np.zeros((batch, hidden))
+    dc = np.zeros((batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        if not last_only:
+            dh = dh + g[t]
+        elif t == steps - 1:
+            dh = dh + g
+        dc += dh * k_c[t]
+        d = dz[t].reshape(batch, 4, hidden)
+        np.multiply(dc[:, None, :], k_gates[t], out=d)
+        np.multiply(dh, k_o[t], out=d[:, 2])
+        dc *= f[t]
+        dh = dz[t] @ u
+    rows = dz.reshape(steps * batch, 4 * hidden)
+    du = rows.T @ hs[:steps].reshape(steps * batch, hidden)
+    db = rows.sum(axis=0)
+    if repeat:
+        dz_x = dz.sum(axis=0)
+        dw = dz_x.T @ x
+    else:
+        dz_x = rows
+        dw = rows.T @ x.reshape(steps * batch, width)
+    return out, ((dz_x @ w).reshape(x.shape), dw, du, db)
+
+
+class TestLstmLayerMatchesBatchMajor:
+    """The feature-major kernel against the batch-major reference, outputs and all four gradients."""
+
+    @pytest.mark.parametrize("hidden", [3, 16])
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 2, 32])
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("last_only", [False, True])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_same_result(self, repeat, last_only, taped, batch, steps, hidden):
+        rng = np.random.default_rng(1000 * batch + 10 * steps + hidden)
+        width = 5
+        arrays = [rng.uniform(-1, 1, shape) for shape in (
+            (batch, width) if repeat else (steps, batch, width),
+            (4 * hidden, width), (4 * hidden, hidden), (4 * hidden,))]
+        g = rng.uniform(-1, 1, (batch, hidden) if last_only else (steps, batch, hidden))
+        ref_out, ref_grads = batch_major_lstm(*arrays, steps, last_only, g if taped else None)
+
+        x, w, u, b = (T.Tensor(a, requires_grad=True) for a in arrays)
+        if taped:
+            with T.Tape() as tape:
+                out = T.lstm_layer(x, w, u, b, steps=steps, last_only=last_only)
+                loss = T.total_sum(T.mul(out, T.constant(g)))
+            tape.backward(loss)
+            got = [out.array] + [t.grad_array for t in (x, w, u, b)]
+            want = [ref_out, *ref_grads]
+        else:
+            got = [T.lstm_layer(x, w, u, b, steps=steps, last_only=last_only).array]
+            want = [ref_out]
+        for a, e in zip(got, want):
+            assert a.shape == e.shape
+            if batch >= 2:
+                assert np.array_equal(a, e)
+            else:  # one row runs the products through BLAS's vector kernels
+                assert np.abs(a - e).max() <= 1e-15
+
+
 class TestGradcheckCoverage:
     # public names of the tensor module that are not differentiable ops;
     # activation is the dispatcher behind tanh, sigmoid and relu, which are
