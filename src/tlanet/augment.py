@@ -221,7 +221,10 @@ def translate_augment(examples: list[LabeledExample], client, src: str, dst: str
 
     Transport failures are collected and raised together with every
     undelivered id. An empty translation for non-empty text is a client
-    contract violation and is reported the same way.
+    contract violation and is reported the same way. With ``jobs > 1``,
+    each of ``jobs`` threads translates a strided share of the examples,
+    so at most ``jobs`` requests are in flight; the output order is the
+    input order either way.
     """
 
     def one(ex: LabeledExample) -> LabeledExample:
@@ -237,28 +240,29 @@ def translate_augment(examples: list[LabeledExample], client, src: str, dst: str
         )
 
     results: list[LabeledExample | None] = [None] * len(examples)
-    failures: list[str] = []
-    if jobs <= 1:
-        for i, ex in enumerate(examples):
+    workers = max(1, min(jobs, len(examples)))
+
+    def share(k: int) -> None:
+        # a failed example keeps its None and is reported below
+        for i in range(k, len(examples), workers):
             try:
-                results[i] = one(ex)
+                results[i] = one(examples[i])
             except Exception:
-                failures.append(ex.id)
+                pass
+
+    if workers == 1:
+        share(0)
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(one, ex): i for i, ex in enumerate(examples)}
-            for fut, i in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception:
-                    failures.append(examples[i].id)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(share, range(workers)))
+    failures = [ex.id for ex, r in zip(examples, results) if r is None]
     if failures:
         raise AugmentationError(
             f"{len(failures)} of {len(examples)} translations failed; undelivered ids: "
             f"{', '.join(sorted(failures))}",
             failed_ids=sorted(failures),
         )
-    return [r for r in results if r is not None]
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,21 @@ def _model_kind(value) -> str:
     return value
 
 
+def _classifier_config(value, path) -> ClassifierConfig:
+    """The stored config; checkpoints written before ``class_tap`` was removed hold
+    ``"fused"``, the only behaviour left, and load unchanged."""
+    c = dict(value)
+    tap = c.pop("class_tap", "fused")
+    if tap != "fused":
+        raise ArtifactMismatch(f"{path}: checkpoint was trained with class_tap={tap!r}, an option "
+                               f"that was removed; only 'fused' checkpoints load")
+    return ClassifierConfig(**c)
+
+
 def load_checkpoint(path) -> CheckpointBundle:
     version, meta, arrays = _read_container(path, MODEL_MAGIC)
     kind = _meta_field(meta, "kind", path, _model_kind)
-    config = _meta_field(meta, "config", path, lambda c: ClassifierConfig(**c))
+    config = _meta_field(meta, "config", path, lambda c: _classifier_config(c, path))
     vocab = _meta_field(meta, "vocab", path, _vocab_from_meta)
     vocab_hash = _meta_field(meta, "vocab_hash", path, _of_type(str))
     _meta_field(meta, "extras", path, _of_type(dict))

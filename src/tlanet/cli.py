@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     aug.add_argument("--config", required=True)
     aug.add_argument("--seed", type=int, default=None)
     aug.add_argument("--out", default=None)
-    aug.add_argument("--jobs", type=int, default=1, help="translation concurrency")
+    aug.add_argument("--jobs", type=int, default=1,
+                     help="translation threads, each translating every N-th example of a split")
 
     gc = sub.add_parser("gradcheck", help="finite-difference checks of all backward rules")
     gc.add_argument("--scope", choices=("ops", "layers", "models", "all"), default="all")

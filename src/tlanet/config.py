@@ -61,7 +61,6 @@ class ClassifierSection:
     max_len: int = 128
     head_hidden: int = 32
     recon_mode: str = "mse"
-    class_tap: str = "fused"
     encoder_views: str = "shared"
 
 
@@ -202,6 +201,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"datasets.{lang}", "expected an object of split paths")
 
     c = raw.get("classifier", {})
+    if "class_tap" in c:
+        # unknown keys are otherwise ignored, which would quietly change what this one meant
+        raise ConfigError("classifier.class_tap",
+                          "was removed; the classifier always reads the fused encoder state")
     cls = ClassifierSection(
         max_vocab=_positive(_require(c, "max_vocab", int, "classifier.", 2000), "classifier.max_vocab"),
         min_freq=_positive(_require(c, "min_freq", int, "classifier.", 1), "classifier.min_freq"),
@@ -213,7 +216,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         max_len=_positive(_require(c, "max_len", int, "classifier.", 128), "classifier.max_len"),
         head_hidden=_positive(_require(c, "head_hidden", int, "classifier.", 32), "classifier.head_hidden"),
         recon_mode=_require(c, "recon_mode", str, "classifier.", "mse"),
-        class_tap=_require(c, "class_tap", str, "classifier.", "fused"),
         encoder_views=_require(c, "encoder_views", str, "classifier.", "shared"),
     )
     o = raw.get("optimizer", {})

@@ -51,7 +51,7 @@ def _classifier_config(cfg: ExperimentConfig, vocab_size: int) -> M.ClassifierCo
         vocab_size=vocab_size, embed_dim=c.embed_dim, hidden_size=c.hidden_size,
         num_layers=c.num_layers, dropout=c.dropout, num_classes=c.num_classes,
         max_len=c.max_len, seed=cfg.seed, head_hidden=c.head_hidden,
-        recon_mode=c.recon_mode, class_tap=c.class_tap, encoder_views=c.encoder_views,
+        recon_mode=c.recon_mode, encoder_views=c.encoder_views,
     )
 
 
@@ -81,7 +81,8 @@ def _features_and_probs(bundle: ckpt.CheckpointBundle, tokens: np.ndarray):
         feats = _w2v_feature_matrix(bundle.model, tokens)
         probs = bundle.head.probabilities(feats)
         return feats, probs, None
-    probs, feats, recon = bundle.model.predict_batch(tokens)
+    # report.json carries the mean reconstruction error, so the decoders run here
+    probs, feats, recon = bundle.model.predict_batch(tokens, reconstruct=True)
     return feats, probs, recon
 
 

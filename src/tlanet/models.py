@@ -6,7 +6,9 @@ through an attention meta-learner, mirrors the structure through three
 parallel decoders, fuses those stepwise, and reconstructs the embedded
 input. Classification reads the fused representation through a small
 fully connected network; a rejection head attaches to its penultimate
-activations.
+activations. The decoders serve the training objective and the
+reconstruction error, so inference stops at the classifier unless the
+reconstruction is asked for.
 
 Token ids arrive batch-first, as an (examples, steps) integer matrix.
 Inside, a sequence is one time-major (steps, examples, width) tensor, each
@@ -42,7 +44,6 @@ class ClassifierConfig:
     seed: int = 0
     head_hidden: int = 32
     recon_mode: str = "mse"  # or "bce": sigmoid reconstruction of one-hot token rows
-    class_tap: str = "fused"  # or "reconstruction": classify the mean decoded step
     encoder_views: str = "shared"  # or "dropout": each encoder sees its own dropped view
 
     def __post_init__(self):
@@ -56,15 +57,17 @@ class ClassifierConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.recon_mode not in ("mse", "bce"):
             raise ValueError(f"recon_mode must be mse or bce, got {self.recon_mode!r}")
-        if self.class_tap not in ("fused", "reconstruction"):
-            raise ValueError(f"class_tap must be fused or reconstruction, got {self.class_tap!r}")
         if self.encoder_views not in ("shared", "dropout"):
             raise ValueError(f"encoder_views must be shared or dropout, got {self.encoder_views!r}")
 
 
 @dataclass
 class BatchOutput:
-    """Graph-side results of one batched forward pass."""
+    """Graph-side results of one batched forward pass.
+
+    The reconstruction fields stay None for the kinds without a decoder and
+    for a pass run with ``reconstruct=False``.
+    """
 
     probs: Tensor  # (batch, classes)
     features: Tensor  # (batch, feature_dim); what a rejection head would read
@@ -134,6 +137,13 @@ def _check_tokens(tokens) -> np.ndarray:
     return ids
 
 
+def _check_pass(tokens, training: bool, reconstruct: bool) -> np.ndarray:
+    if training and not reconstruct:
+        raise ValueError("a training pass needs the reconstruction: training=True "
+                         "requires reconstruct=True")
+    return _check_tokens(tokens)
+
+
 class _SequenceModel:
     """Shared plumbing: embedding, batched prediction, parameter listing."""
 
@@ -162,6 +172,10 @@ class _SequenceModel:
     def _embed(self, ids: np.ndarray) -> Tensor:
         """The (steps, batch, embed) sequence of a (batch, steps) id matrix."""
         return L.embedding_lookup(self.embedding, ids.T)
+
+    def _classify(self, features: Tensor) -> tuple[Tensor, Tensor]:
+        """Class probabilities, and the features the rejection head reads."""
+        return L.dense_forward(self.head.weights, self.head.bias, features, "softmax"), features
 
     def _reconstruct(self, rows: Tensor, embedded: Tensor,
                      token_ids: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
@@ -204,23 +218,26 @@ class _SequenceModel:
     def training_loss(self, out: BatchOutput, targets, recon_weight: float = 0.5) -> Tensor:
         return self.losses(out, targets, recon_weight)[0]
 
-    def predict_batch(self, tokens, chunk: int = 256):
-        """Inference over many examples: (probs, features, recon-per-example) arrays."""
+    def predict_batch(self, tokens, chunk: int = 256, reconstruct: bool = False):
+        """Inference over many examples: (probs, features, recon-per-example) arrays.
+
+        Inference stops at the classifier unless the reconstruction is asked
+        for: by default no decoder runs and the third element is None. With
+        ``reconstruct=True`` the decoders run too and it holds each example's
+        reconstruction error (still None for the kinds without a decoder).
+        The probabilities and features are the same bits either way.
+        """
         ids = _check_tokens(tokens)
         probs, feats, recons = [], [], []
-        has_recon = True
         for lo in range(0, ids.shape[0], chunk):
-            out = self.forward_batch(ids[lo:lo + chunk], training=False)
+            out = self.forward_batch(ids[lo:lo + chunk], training=False, reconstruct=reconstruct)
             probs.append(out.probs.array.copy())
             feats.append(out.features.array.copy())
-            if out.recon_per_example is None:
-                has_recon = False
-            else:
-                recons.append(out.recon_per_example)
+            recons.append(out.recon_per_example)
         return (
             np.concatenate(probs, axis=0),
             np.concatenate(feats, axis=0),
-            np.concatenate(recons) if has_recon else None,
+            None if recons[0] is None else np.concatenate(recons),
         )
 
 
@@ -245,11 +262,11 @@ class LstmClassifier(_SequenceModel):
         yield from self.head.tensors()
 
     def forward_batch(self, tokens, training: bool = False,
-                      rng: np.random.Generator | None = None) -> BatchOutput:
-        ids = _check_tokens(tokens)
+                      rng: np.random.Generator | None = None,
+                      reconstruct: bool = True) -> BatchOutput:
+        ids = _check_pass(tokens, training, reconstruct)
         features = L.lstm_forward(self.trunk, self._embed(ids), training, rng, last_only=True)
-        probs = L.dense_forward(self.head.weights, self.head.bias, features, "softmax")
-        return BatchOutput(probs, features)
+        return BatchOutput(*self._classify(features))
 
 
 class BiLstmClassifier(_SequenceModel):
@@ -276,15 +293,14 @@ class BiLstmClassifier(_SequenceModel):
         yield from self.head.tensors()
 
     def forward_batch(self, tokens, training: bool = False,
-                      rng: np.random.Generator | None = None) -> BatchOutput:
-        ids = _check_tokens(tokens)
+                      rng: np.random.Generator | None = None,
+                      reconstruct: bool = True) -> BatchOutput:
+        ids = _check_pass(tokens, training, reconstruct)
         # classify from the final state of each direction: both have read
         # the whole sequence; the backward one reads the reversed ids
         fwd = L.lstm_forward(self.fwd, self._embed(ids), training, rng, last_only=True)
         bwd = L.lstm_forward(self.bwd, self._embed(ids[:, ::-1]), training, rng, last_only=True)
-        features = T.concat([fwd, bwd], axis=1)
-        probs = L.dense_forward(self.head.weights, self.head.bias, features, "softmax")
-        return BatchOutput(probs, features)
+        return BatchOutput(*self._classify(T.concat([fwd, bwd], axis=1)))
 
 
 class LstmAutoencoder(_SequenceModel):
@@ -314,16 +330,18 @@ class LstmAutoencoder(_SequenceModel):
         yield from self.head.tensors()
 
     def forward_batch(self, tokens, training: bool = False,
-                      rng: np.random.Generator | None = None) -> BatchOutput:
-        ids = _check_tokens(tokens)
+                      rng: np.random.Generator | None = None,
+                      reconstruct: bool = True) -> BatchOutput:
+        ids = _check_pass(tokens, training, reconstruct)
         seq = self._embed(ids)
         steps = ids.shape[1]
         encoded = L.lstm_forward(self.encoder, seq, training, rng, last_only=True)
+        if not reconstruct:
+            return BatchOutput(*self._classify(encoded))
         decoded = L.lstm_forward(self.decoder, encoded, training, rng, steps=steps)
         rows = T.reshape(decoded, (steps * ids.shape[0], decoded.shape[2]))
         recon, recon_loss, per = self._reconstruct(rows, seq, ids)
-        probs = L.dense_forward(self.head.weights, self.head.bias, encoded, "softmax")
-        return BatchOutput(probs, encoded, recon_loss, per, recon)
+        return BatchOutput(*self._classify(encoded), recon_loss, per, recon)
 
 
 class TlaNet(_SequenceModel):
@@ -385,11 +403,19 @@ class TlaNet(_SequenceModel):
         d2 = L.lstm_forward(self.dec_stage2[k], d1, training, rng, steps=steps)
         return T.reshape(d2, (steps * d2.shape[1], d2.shape[2]))
 
+    def _classify(self, fused: Tensor) -> tuple[Tensor, Tensor]:
+        """Class probabilities, and the penultimate activations the rejection head reads."""
+        hidden_act = L.dense_forward(self.class_hidden.weights, self.class_hidden.bias,
+                                     fused, "relu")
+        probs = L.dense_forward(self.class_out.weights, self.class_out.bias, hidden_act, "softmax")
+        return probs, hidden_act
+
     def forward_batch(self, tokens, training: bool = False,
-                      rng: np.random.Generator | None = None) -> BatchOutput:
-        ids = _check_tokens(tokens)
+                      rng: np.random.Generator | None = None,
+                      reconstruct: bool = True) -> BatchOutput:
+        ids = _check_pass(tokens, training, reconstruct)
         seq = self._embed(ids)
-        batch, steps = ids.shape
+        steps = ids.shape[1]
 
         encodings = []
         for k in range(3):
@@ -398,24 +424,15 @@ class TlaNet(_SequenceModel):
                 view = T.dropout(seq, self.cfg.dropout, rng)
             encodings.append(self._encode(k, view, training, rng))
         fusion = meta_learner_combine(self.enc_meta, encodings)
+        if not reconstruct:
+            return BatchOutput(*self._classify(fusion.fused))
 
         decoded = [self._decode(k, fusion.fused, steps, training, rng) for k in range(3)]
         fused_rows = meta_learner_combine(self.dec_meta, decoded).fused
         recon, recon_loss, per = self._reconstruct(fused_rows, seq, ids)
-
-        if self.cfg.class_tap == "fused":
-            class_in = fusion.fused
-        else:
-            step_rows = [T.lookup_rows(fused_rows, np.arange(batch) + t * batch)
-                         for t in range(steps)]
-            pooled = step_rows[0]
-            for h in step_rows[1:]:
-                pooled = T.add(pooled, h)
-            class_in = T.scale(pooled, 1.0 / steps)
-        hidden_act = L.dense_forward(self.class_hidden.weights, self.class_hidden.bias,
-                                     class_in, "relu")
-        probs = L.dense_forward(self.class_out.weights, self.class_out.bias, hidden_act, "softmax")
-        return BatchOutput(probs, hidden_act, recon_loss, per, recon)
+        # the head is recorded after the decoders, which fixes the order in
+        # which the tape sums fusion.fused's adjoints
+        return BatchOutput(*self._classify(fusion.fused), recon_loss, per, recon)
 
 
 def build_model(kind: str, cfg: ClassifierConfig) -> _SequenceModel:

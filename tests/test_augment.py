@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import sys
 import threading
 
 import numpy as np
@@ -88,6 +89,15 @@ class _Failing:
         raise OSError("connection refused")
 
 
+class _FailingOdd:
+    """Fails on the examples ``examples_of`` numbered odd."""
+
+    def translate(self, text, src, dst):
+        if int(text.split()[1][len("token"):]) % 2:
+            raise OSError("connection reset")
+        return text
+
+
 class _EmptyReturning:
     def translate(self, text, src, dst):
         return "  "
@@ -95,12 +105,16 @@ class _EmptyReturning:
 
 class TestTranslateFailures:
     def test_every_failed_id_listed(self):
-        src = examples_of("OAG", 4, language="hindi")
-        with pytest.raises(A.AugmentationError) as err:
-            A.translate_augment(src, _Failing(), "hindi", "english")
-        assert sorted(err.value.failed_ids) == sorted(e.id for e in src)
-        for ex in src:
-            assert ex.id in str(err.value)
+        src = examples_of("OAG", 9, language="hindi")
+        for jobs in (1, 2, 3, 20):
+            with pytest.raises(A.AugmentationError) as err:
+                A.translate_augment(src, _Failing(), "hindi", "english", jobs=jobs)
+            assert sorted(err.value.failed_ids) == sorted(e.id for e in src)
+            for ex in src:
+                assert ex.id in str(err.value)
+            with pytest.raises(A.AugmentationError) as err:
+                A.translate_augment(src, _FailingOdd(), "hindi", "english", jobs=jobs)
+            assert err.value.failed_ids == sorted(ex.id for ex in src[1::2])
 
     def test_empty_translation_is_failure(self):
         src = examples_of("NAG", 2)
@@ -108,11 +122,40 @@ class TestTranslateFailures:
             A.translate_augment(src, _EmptyReturning(), "english", "english")
 
     def test_parallel_jobs_match_sequential(self):
-        client = A.OfflineMockTranslator({"a->b": {"token1": "mapped"}})
-        src = examples_of("CAG", 6, language="a")
+        client = A.OfflineMockTranslator({"a->b": {"token1": "mapped", "cag": "x"}})
+        for n in (0, 1, 2, 7):  # n < jobs runs more workers than there are examples
+            src = examples_of("CAG", n, language="a")
+            seq = A.translate_augment(src, client, "a", "b", jobs=1)
+            for jobs in (2, 3):
+                assert A.translate_augment(src, client, "a", "b", jobs=jobs) == seq
+
+    def test_each_worker_translates_a_strided_share(self):
+        class Recording:
+            def __init__(self):
+                self.thread_of = {}
+
+            def translate(self, text, src, dst):
+                self.thread_of[text] = threading.get_ident()
+                return text
+
+        client = Recording()
+        src = examples_of("OAG", 8, language="a")
+        A.translate_augment(src, client, "a", "b", jobs=3)
+        threads = [client.thread_of[ex.text] for ex in src]
+        assert len(set(threads)) <= 3
+        assert all(threads[i] == threads[i % 3] for i in range(len(src)))
+
+    def test_many_workers_under_frequent_thread_switches(self):
+        client = A.OfflineMockTranslator({"a->b": {"tail": "end"}})
+        src = examples_of("NAG", 500, language="a")
         seq = A.translate_augment(src, client, "a", "b", jobs=1)
-        par = A.translate_augment(src, client, "a", "b", jobs=3)
-        assert [e.text for e in seq] == [e.text for e in par]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = A.translate_augment(src, client, "a", "b", jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert par == seq
 
 
 class _TranslateHandler(http.server.BaseHTTPRequestHandler):

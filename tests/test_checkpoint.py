@@ -111,10 +111,10 @@ class TestModelCheckpoint:
         path = tmp_path / "ae.tlac"
         CK.save_checkpoint(path, "lstm-ae", cfg, vocab, model, make_head())
         bundle = CK.load_checkpoint(path)
-        probs_a, _, recon_a = model.predict_batch([[2, 3, 4]])
-        probs_b, _, recon_b = bundle.model.predict_batch([[2, 3, 4]])
+        probs_a, _, recon_a = model.predict_batch([[2, 3, 4]], reconstruct=True)
+        probs_b, _, recon_b = bundle.model.predict_batch([[2, 3, 4]], reconstruct=True)
         assert np.array_equal(probs_a, probs_b)
-        assert np.array_equal(recon_a, recon_b)
+        assert recon_a is not None and np.array_equal(recon_a, recon_b)
 
     def test_vocab_hash_guard(self, tmp_path):
         vocab = make_vocab()
@@ -207,7 +207,8 @@ class TestV1Checkpoint:
     def test_reproduces_v1_predictions(self):
         bundle = CK.load_checkpoint(FIXTURES / "tla_net_v1.tlac")
         want = self.expected()
-        probs, feats, recon = bundle.model.predict_batch(np.array(want["tokens"]))
+        probs, feats, recon = bundle.model.predict_batch(np.array(want["tokens"]),
+                                                         reconstruct=True)
         assert np.abs(probs - want["probs"]).max() <= 1e-12
         assert np.abs(feats - want["features"]).max() <= 1e-12
         assert np.abs(recon - want["recon_per_example"]).max() <= 1e-12
@@ -293,6 +294,22 @@ class TestCheckpointMeta:
         break_meta(path, key, value)
         with pytest.raises(CK.ArtifactMismatch, match=repr(key)):
             CK.load_checkpoint(path)
+
+    def test_checkpoint_written_with_class_tap(self, tmp_path):
+        # checkpoints from before the option was removed hold "fused", which loads
+        path = checkpoint_with_head(tmp_path / "m.tlac", "tla-net")
+        bundle = CK.load_checkpoint(path)
+        assert "class_tap" not in bundle.meta["config"]
+        tokens = np.array([[2, 3, 4], [5, 1, 0]])
+        break_meta(path, "config", {**bundle.meta["config"], "class_tap": "fused"})
+        old = CK.load_checkpoint(path)
+        assert old.config == bundle.config
+        assert np.array_equal(old.model.predict_batch(tokens)[0],
+                              bundle.model.predict_batch(tokens)[0])
+        break_meta(path, "config", {**bundle.meta["config"], "class_tap": "reconstruction"})
+        with pytest.raises(CK.ArtifactMismatch, match="class_tap='reconstruction'") as err:
+            CK.load_checkpoint(path)
+        assert "\n" not in str(err.value)
 
     def test_missing_head_array_rejected(self, tmp_path):
         path = checkpoint_with_head(tmp_path / "m.tlac")

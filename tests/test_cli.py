@@ -144,6 +144,16 @@ class TestTrainCommand:
         assert "classifier.num_classes" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("tap", ["fused", "reconstruction"])
+    def test_removed_class_tap_exit_2(self, tmp_path, capsys, tap):
+        config, _ = small_config(tmp_path, model="tla-net")
+        bad = json.loads(config.read_text())
+        bad["classifier"]["class_tap"] = tap
+        config.write_text(json.dumps(bad))
+        err = expect_one_line_error(capsys, 2, ["train", "--config", str(config)])
+        assert "classifier.class_tap" in err and "removed" in err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_equals_straight_run(self, tmp_path):
         config6, _ = small_config(tmp_path, epochs=6, name="config6.json")
         straight = tmp_path / "straight"
@@ -356,6 +366,33 @@ class TestEvaluateCommand:
             "evaluate", "--checkpoint", str(ckpt), "--dataset", "builtin:synthetic-test",
             "--out", str(tmp_path / "eval")])
         assert repr(key) in err
+
+    def test_removed_class_tap_checkpoint_exit_4(self, tmp_path, capsys):
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac", "tla-net")
+        meta, arrays = CK.load_container(ckpt, CK.MODEL_MAGIC)
+        meta["config"]["class_tap"] = "reconstruction"
+        CK.save_container(ckpt, CK.MODEL_MAGIC, meta, list(arrays.items()))
+        err = expect_one_line_error(capsys, 4, [
+            "evaluate", "--checkpoint", str(ckpt), "--dataset", "builtin:synthetic-test",
+            "--out", str(tmp_path / "eval")])
+        assert "class_tap='reconstruction'" in err
+
+    @pytest.mark.parametrize("kind", ["lstm", "lstm-ae", "tla-net"])
+    def test_report_carries_mean_reconstruction_loss(self, tmp_path, kind):
+        from tlanet.synthetic import builtin_dataset_path
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac", kind)
+        out = tmp_path / "eval"
+        assert cli.main(["evaluate", "--checkpoint", str(ckpt),
+                         "--dataset", "builtin:synthetic-test", "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        if kind == "lstm":
+            assert payload["mean_reconstruction_loss"] is None
+            return
+        bundle = CK.load_checkpoint(ckpt)
+        split = TXT.load_trac2(builtin_dataset_path("synthetic-test"))
+        tokens, _ = TXT.encode_dataset(bundle.vocab, split.examples, bundle.config.max_len)
+        _, _, recon = bundle.model.predict_batch(tokens, reconstruct=True)
+        assert payload["mean_reconstruction_loss"] == float(np.mean(recon)) > 0.0
 
     def test_word2vec_checkpoint_evaluates(self, tmp_path):
         from tlanet.synthetic import builtin_dataset_path

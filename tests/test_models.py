@@ -182,14 +182,6 @@ class TestTlaNet:
         fusion = M.meta_learner_combine(model.enc_meta, encodings)
         assert np.allclose(fusion.convex.array, encodings[0].array, atol=1e-12)
 
-    def test_class_tap_options(self):
-        fused = M.TlaNet(small_config(class_tap="fused"))
-        recon = M.TlaNet(small_config(class_tap="reconstruction"))
-        tokens = np.array([[2, 3, 4]])
-        a = fused.forward_batch(tokens).probs.array
-        b = recon.forward_batch(tokens).probs.array
-        assert a.shape == b.shape == (1, 3)
-
     def test_dropout_encoder_views_change_training_forward(self):
         model = M.TlaNet(small_config(encoder_views="dropout", dropout=0.5))
         tokens = np.array([[2, 3, 4]])
@@ -198,28 +190,17 @@ class TestTlaNet:
         dropped = model.forward_batch(tokens, training=True, rng=rng).probs.array
         assert not np.allclose(plain, dropped)
 
-    @pytest.mark.parametrize("class_tap", ["fused", "reconstruction"])
-    def test_batch_rows_independent(self, class_tap):
+    def test_batch_rows_independent(self):
         # the whole-sequence heads flatten (steps, batch) into rows; a row
         # read under the wrong example or step would make examples interact
-        model = M.TlaNet(small_config(class_tap=class_tap, seed=12))
+        model = M.TlaNet(small_config(seed=12))
         tokens = np.array([[2, 3, 4, 0], [5, 6, 7, 8], [9, 1, 0, 0]])
-        probs, feats, recon = model.predict_batch(tokens)
+        probs, feats, recon = model.predict_batch(tokens, reconstruct=True)
         for r, row in enumerate(tokens):
-            p1, f1, rec1 = model.predict_batch(row[None, :])
+            p1, f1, rec1 = model.predict_batch(row[None, :], reconstruct=True)
             assert np.allclose(probs[r], p1[0], rtol=0.0, atol=1e-14)
             assert np.allclose(feats[r], f1[0], rtol=0.0, atol=1e-14)
             assert np.allclose(recon[r], rec1[0], rtol=0.0, atol=1e-14)
-
-    def test_reconstruction_tap_gradient(self):
-        model = M.TlaNet(small_config(embed_dim=3, hidden_size=2, head_hidden=3, vocab_size=8,
-                                      class_tap="reconstruction"))
-        tokens = np.array([[2, 4, 7], [1, 5, 0]])
-
-        def loss_fn():
-            return model.training_loss(model.forward_batch(tokens), [1, 2])
-
-        assert check_gradients(loss_fn, [t for _, t in model.named_tensors()]) <= 1e-3
 
     def test_step_tape_records(self):
         # one record per LSTM layer, one meta-learner call per fusion, one
@@ -245,6 +226,49 @@ class TestTlaNet:
             return model.training_loss(model.forward_batch(tokens), [1])
 
         assert check_gradients(loss_fn, [t for _, t in model.named_tensors()]) <= 1e-3
+
+
+class TestInferenceStopsAtClassifier:
+    KINDS = ("lstm", "bilstm", "lstm-ae", "tla-net")
+
+    @pytest.mark.parametrize("kind,bare,full", [("lstm-ae", 1, 2), ("tla-net", 6, 12)])
+    def test_decoders_run_only_for_the_reconstruction(self, monkeypatch, kind, bare, full):
+        model = M.build_model(kind, small_config())
+        layer = T.lstm_layer
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return layer(*args, **kwargs)
+
+        monkeypatch.setattr(T, "lstm_layer", counted)
+        tokens = np.array([[2, 3, 4], [5, 6, 7]])
+        model.predict_batch(tokens)
+        assert len(calls) == bare
+        calls.clear()
+        model.predict_batch(tokens, reconstruct=True)
+        assert len(calls) == full
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_bits_with_and_without_reconstruction(self, kind):
+        model = M.build_model(kind, small_config(seed=21, dropout=0.3))
+        tokens = np.random.default_rng(4).integers(0, 10, (7, 5))
+        probs, feats, recon = model.predict_batch(tokens, chunk=3)
+        probs_r, feats_r, recon_r = model.predict_batch(tokens, chunk=3, reconstruct=True)
+        assert recon is None
+        assert np.array_equal(probs, probs_r)
+        assert np.array_equal(feats, feats_r)
+        if kind in ("lstm", "bilstm"):
+            assert recon_r is None
+        else:
+            assert recon_r.shape == (7,) and (recon_r > 0.0).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_pass_needs_the_reconstruction(self, kind):
+        model = M.build_model(kind, small_config())
+        with pytest.raises(ValueError, match="reconstruct=True"):
+            model.forward_batch(np.array([[2, 3]]), training=True,
+                                rng=np.random.default_rng(0), reconstruct=False)
 
 
 class TestTraining:
