@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import GATES
-from .models import MODEL_KINDS, ClassifierConfig, build_model
+from .models import MODEL_KINDS, REMOVED_OPTIONS, ClassifierConfig, build_model
 from .text import Vocabulary
 from .wisdomnet import WisdomNetHead
 from .word2vec import Word2VecModel
@@ -248,13 +248,14 @@ def _model_kind(value) -> str:
 
 
 def _classifier_config(value, path) -> ClassifierConfig:
-    """The stored config; checkpoints written before ``class_tap`` was removed hold
-    ``"fused"``, the only behaviour left, and load unchanged."""
+    """The stored config; checkpoints written before an option was removed hold
+    its value, and load unchanged when that is the behaviour left."""
     c = dict(value)
-    tap = c.pop("class_tap", "fused")
-    if tap != "fused":
-        raise ArtifactMismatch(f"{path}: checkpoint was trained with class_tap={tap!r}, an option "
-                               f"that was removed; only 'fused' checkpoints load")
+    for key, kept in REMOVED_OPTIONS.items():
+        stored = c.pop(key, kept)
+        if stored != kept:
+            raise ArtifactMismatch(f"{path}: checkpoint was trained with {key}={stored!r}, an option "
+                                   f"that was removed; only {kept!r} checkpoints load")
     return ClassifierConfig(**c)
 
 

@@ -10,7 +10,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .models import MODEL_KINDS
+from .models import MODEL_KINDS, REMOVED_OPTIONS
 from .synthetic import builtin_dataset_path
 from .text import LABELS
 
@@ -60,8 +60,6 @@ class ClassifierSection:
     num_classes: int = 3
     max_len: int = 128
     head_hidden: int = 32
-    recon_mode: str = "mse"
-    encoder_views: str = "shared"
 
 
 @dataclass
@@ -201,10 +199,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"datasets.{lang}", "expected an object of split paths")
 
     c = raw.get("classifier", {})
-    if "class_tap" in c:
-        # unknown keys are otherwise ignored, which would quietly change what this one meant
-        raise ConfigError("classifier.class_tap",
-                          "was removed; the classifier always reads the fused encoder state")
+    for key, kept in REMOVED_OPTIONS.items():
+        if key in c:
+            # unknown keys are otherwise ignored, which would quietly change what this one meant
+            raise ConfigError(f"classifier.{key}", f"was removed; every model now behaves as {kept!r} did")
     cls = ClassifierSection(
         max_vocab=_positive(_require(c, "max_vocab", int, "classifier.", 2000), "classifier.max_vocab"),
         min_freq=_positive(_require(c, "min_freq", int, "classifier.", 1), "classifier.min_freq"),
@@ -215,8 +213,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         num_classes=_num_classes(_require(c, "num_classes", int, "classifier.", len(LABELS))),
         max_len=_positive(_require(c, "max_len", int, "classifier.", 128), "classifier.max_len"),
         head_hidden=_positive(_require(c, "head_hidden", int, "classifier.", 32), "classifier.head_hidden"),
-        recon_mode=_require(c, "recon_mode", str, "classifier.", "mse"),
-        encoder_views=_require(c, "encoder_views", str, "classifier.", "shared"),
     )
     o = raw.get("optimizer", {})
     opt = OptimizerSection(

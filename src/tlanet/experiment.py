@@ -51,7 +51,6 @@ def _classifier_config(cfg: ExperimentConfig, vocab_size: int) -> M.ClassifierCo
         vocab_size=vocab_size, embed_dim=c.embed_dim, hidden_size=c.hidden_size,
         num_layers=c.num_layers, dropout=c.dropout, num_classes=c.num_classes,
         max_len=c.max_len, seed=cfg.seed, head_hidden=c.head_hidden,
-        recon_mode=c.recon_mode, encoder_views=c.encoder_views,
     )
 
 

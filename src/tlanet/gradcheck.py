@@ -143,6 +143,8 @@ def ops_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     fd("op.lstm_layer[repeat vector]", lambda: _lstm_layers(rng, layers=1, repeat=True))
     # one row sends the layer's (4H, H) @ (H, 1) products through BLAS's vector kernels
     fd("op.lstm_layer[batch 1]", lambda: _lstm_layers(rng, layers=1, batch=1))
+    fd("op.lstm_layer[3 branches]", lambda: _lstm_branches(rng, repeat=False))
+    fd("op.lstm_layer[3 branches, repeat vector]", lambda: _lstm_branches(rng, repeat=True))
     return checks
 
 
@@ -203,8 +205,9 @@ def _lookup(rng):
 
 def _dropout(rng):
     x = _rand(rng, (3, 4))
-    seed = int(rng.integers(2**31))  # every rebuild of the loss draws the same mask
-    return [x], lambda: T.total_sum(T.tanh(T.dropout(x, 0.5, np.random.default_rng(seed))))
+    seed = int(rng.integers(2**31))
+    draws = np.random.default_rng(seed).random(x.shape)  # every rebuild of the loss uses the same mask
+    return [x], lambda: T.total_sum(T.tanh(T.dropout(x, 0.5, draws)))
 
 
 def _lstm_layers(rng, layers: int, repeat: bool = False, last_only: bool = False, batch: int = 2):
@@ -228,11 +231,44 @@ def _lstm_layers(rng, layers: int, repeat: bool = False, last_only: bool = False
         h = x
         for k in range(layers):
             w, u, b = params[1 + 3 * k:4 + 3 * k]
-            h = T.lstm_layer(h, w, u, b, steps=steps if k == 0 else None,
-                             last_only=last_only and k == layers - 1)
+            [h] = T.lstm_layer(h, [w], [u], [b], steps=steps if k == 0 else None,
+                               last_only=last_only and k == layers - 1)
         return T.total_sum(T.mul(h, c))
 
     return params, loss_fn
+
+
+def _lstm_branches(rng, repeat: bool, branches: int = 3):
+    """Two ``lstm_layer`` ops of three branches each, as TLA-Net's stages run them.
+
+    Layer 0 reads one shared input, which is a parameter: a (4, 2, 3)
+    sequence whose hidden sequences layer 1 reads per branch, keeping the
+    last states; or a (2, 3) repeat vector of which it keeps the last
+    states, which layer 1 reads per branch as repeat vectors over 4 steps.
+    The loss weights each branch's outputs differently.
+    """
+    steps, batch, width, hidden = 4, 2, 3, 3
+    x = T.Tensor(rng.uniform(-1, 1, (batch, width) if repeat else (steps, batch, width)),
+                 requires_grad=True)
+    layers = []
+    for fan_in in (width, hidden):
+        layers.append([[T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+                        for shape in ((4 * hidden, fan_in), (4 * hidden, hidden), (4 * hidden,))]
+                       for _ in range(branches)])
+    out_shape = (steps, batch, hidden) if repeat else (batch, hidden)
+    cs = [T.constant(rng.uniform(-1, 1, out_shape)) for _ in range(branches)]
+
+    def loss_fn():
+        h = x
+        for k, layer in enumerate(layers):
+            w, u, b = ([p[j] for p in layer] for j in range(3))
+            h = T.lstm_layer(h, w, u, b, steps=steps, last_only=(k == 0) == repeat)
+        loss = T.total_sum(T.mul(h[0], cs[0]))
+        for hk, c in zip(h[1:], cs[1:]):
+            loss = T.add(loss, T.total_sum(T.mul(hk, c)))
+        return loss
+
+    return [x] + [t for layer in layers for p in layer for t in p], loss_fn
 
 
 def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
@@ -246,7 +282,8 @@ def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
         xs = T.constant(rng.uniform(-1, 1, (4, 2, 3)))
 
         def loss_fn():
-            return T.total_sum(L.lstm_forward(p, xs, training=False, last_only=True))
+            [h] = L.lstm_forward([p], xs, training=False, last_only=True)
+            return T.total_sum(h)
 
         return check_gradients(loss_fn, list(p.tensors()))
 

@@ -2,8 +2,10 @@
 
 A sequence is one time-major tensor of shape (steps, batch, width); a
 repeat vector is a (batch, width) tensor that an LSTM stack reads at
-every step. Row-wise heads (dense layers, the meta-learner) run once over
-a sequence flattened to (steps * batch, width) rows. Rank-1 vectors are
+every step. ``lstm_forward`` runs K stacks of the same shape side by side,
+one ``lstm_layer`` op per depth for all of them. Row-wise heads (dense
+layers, the meta-learner) run once over a sequence flattened to
+(steps * batch, width) rows. Rank-1 vectors are
 accepted by ``dense_forward`` and promoted through a recorded reshape so
 gradients still flow.
 """
@@ -129,27 +131,67 @@ class StackedLSTMParams:
             yield from cell.tensors()
 
 
-def lstm_forward(p: StackedLSTMParams, x: Tensor, training: bool = False,
-                 rng: np.random.Generator | None = None, *, steps: int | None = None,
-                 last_only: bool = False) -> Tensor:
-    """Run the stack over a (steps, batch, in) sequence, or over a (batch, in)
-    repeat vector read at each of ``steps`` steps.
+# Branches run side by side in one op while a step's recurrent weights and
+# gate blocks for all of them, 4H * (H + batch) values a branch, stay within
+# this many values. Beyond it one op per branch is faster, as the per-call
+# cost is no longer the larger part, and holds one branch's input projection
+# at a time. Measured with one BLAS thread on an AVX-512 Xeon, three
+# branches side by side take, against three single-branch ops, 0.46x the
+# time at hidden 16 and batch 1, 0.75x at batch 32 and 1.05x at batch 256;
+# at hidden 128 and batch 1 they take 1.05x.
+SIDE_BY_SIDE_VALUES = 16384
 
-    Returns the top layer's hidden sequence (steps, batch, hidden), or its
-    last hidden state (batch, hidden) when ``last_only``. Each layer is one
-    ``lstm_layer`` op. Inverted dropout is applied between layers (not
-    after the last) and only when ``training`` is true, so inference
-    ignores ``rng``.
+
+def _branch_groups(branches: int, hidden: int, batch: int) -> list[range]:
+    size = max(1, SIDE_BY_SIDE_VALUES // (4 * hidden * (hidden + batch)))
+    return [range(lo, min(lo + size, branches)) for lo in range(0, branches, size)]
+
+
+def lstm_forward(stacks: list[StackedLSTMParams], x: Tensor | list[Tensor], training: bool = False,
+                 rng: np.random.Generator | None = None, *, steps: int | None = None,
+                 last_only: bool = False, draws: np.ndarray | None = None) -> list[Tensor]:
+    """Run K stacks of the same shape side by side over one input or one input each.
+
+    ``x`` is a (steps, batch, in) sequence or a (batch, in) repeat vector
+    read at each of ``steps`` steps, shared by every stack, or a list of K
+    such inputs, one per stack. Returns each stack's top-layer hidden
+    sequence (steps, batch, hidden), or its last hidden state
+    (batch, hidden) when ``last_only``. The stacks run depth by depth:
+    each depth is one ``lstm_layer`` op over all K stacks, or over groups of
+    them when the layers are wide or the batch large (``SIDE_BY_SIDE_VALUES``).
+
+    Inverted dropout is applied between layers (not after the last), and
+    only when ``training`` is true, so inference ignores ``rng``. Its masks
+    come from ``draws``, uniform draws of shape (K, layers - 1, steps,
+    batch, hidden), or else from one such block drawn from ``rng``: stack
+    by stack, so in the order in which running the stacks one after
+    another would draw them.
     """
-    use_dropout = training and p.dropout > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("training with dropout requires an rng")
-    top = len(p.cells) - 1
-    for depth, cell in enumerate(p.cells):
-        x = T.lstm_layer(x, cell.w, cell.u, cell.b, steps=steps if depth == 0 else None,
-                         last_only=last_only and depth == top)
+    depths = {len(p.cells) for p in stacks}
+    rates = {p.dropout for p in stacks}
+    if len(depths) != 1 or len(rates) != 1:
+        raise ShapeError(f"stacks run side by side need one depth and dropout rate, got depths "
+                         f"{sorted(depths)} and rates {sorted(rates)}")
+    top, rate = depths.pop() - 1, rates.pop()
+    x0 = x if isinstance(x, Tensor) else x[0]
+    batch = x0.shape[-2]
+    use_dropout = training and rate > 0.0
+    if use_dropout and draws is None:
+        if rng is None:
+            raise ValueError("training with dropout requires an rng")
+        draws = rng.random((len(stacks), top, steps if len(x0.shape) == 2 else x0.shape[0],
+                            batch, stacks[0].hidden_size))
+    for depth in range(top + 1):
+        cells = [p.cells[depth] for p in stacks]
+        outs = []
+        for group in _branch_groups(len(cells), cells[0].hidden_size, batch):
+            outs += T.lstm_layer(x if isinstance(x, Tensor) else [x[k] for k in group],
+                                 [cells[k].w for k in group], [cells[k].u for k in group],
+                                 [cells[k].b for k in group], steps=steps if depth == 0 else None,
+                                 last_only=last_only and depth == top)
+        x = outs
         if use_dropout and depth < top:
-            x = T.dropout(x, p.dropout, rng)
+            x = [T.dropout(xk, rate, draws[k, depth]) for k, xk in enumerate(x)]
     return x
 
 

@@ -14,7 +14,10 @@ Token ids arrive batch-first, as an (examples, steps) integer matrix.
 Inside, a sequence is one time-major (steps, examples, width) tensor, each
 LSTM layer is one op over the whole sequence, and the row-wise heads (the
 decoder meta-learner, the reconstruction layer and its loss) run once
-over the sequence flattened to (steps * examples, width) rows.
+over the sequence flattened to (steps * examples, width) rows. TLA-Net's
+three branches run side by side: each of its four stages (encoder stage 1
+and 2, decoder stage 1 and 2) is one op per layer for all three, so a
+training pass of a one-layer TLA-Net makes 4 LSTM ops and inference 2.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from .tensor import ShapeError, Tensor
 
 MODEL_KINDS = ("lstm", "bilstm", "lstm-ae", "word2vec-features", "tla-net")
 
+# Classifier options that were removed, each with the value whose behaviour
+# is the one left: a stored config that holds that value still loads.
+REMOVED_OPTIONS = {"class_tap": "fused", "recon_mode": "mse", "encoder_views": "shared"}
+
 
 @dataclass
 class ClassifierConfig:
@@ -43,8 +50,6 @@ class ClassifierConfig:
     max_len: int = 128
     seed: int = 0
     head_hidden: int = 32
-    recon_mode: str = "mse"  # or "bce": sigmoid reconstruction of one-hot token rows
-    encoder_views: str = "shared"  # or "dropout": each encoder sees its own dropped view
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -55,10 +60,6 @@ class ClassifierConfig:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.recon_mode not in ("mse", "bce"):
-            raise ValueError(f"recon_mode must be mse or bce, got {self.recon_mode!r}")
-        if self.encoder_views not in ("shared", "dropout"):
-            raise ValueError(f"encoder_views must be shared or dropout, got {self.encoder_views!r}")
 
 
 @dataclass
@@ -177,34 +178,18 @@ class _SequenceModel:
         """Class probabilities, and the features the rejection head reads."""
         return L.dense_forward(self.head.weights, self.head.bias, features, "softmax"), features
 
-    def _reconstruct(self, rows: Tensor, embedded: Tensor,
-                     token_ids: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Reconstruct every step from (steps * batch, hidden) rows.
+    def _reconstruct(self, rows: Tensor, embedded: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
+        """Reconstruct every embedded step from (steps * batch, hidden) rows.
 
-        Returns the reconstruction rows, the batch-mean reconstruction loss
-        and its per-example values.
+        Returns the reconstruction rows, the batch-mean squared error and its
+        per-example values.
         """
-        recon = L.dense_forward(self.recon.weights, self.recon.bias, rows, self._recon_activation())
+        recon = L.dense_forward(self.recon.weights, self.recon.bias, rows)
         steps, batch = embedded.shape[0], embedded.shape[1]
-        if self.cfg.recon_mode == "mse":
-            diff = T.sub(T.reshape(embedded, recon.shape), recon)
-            sq = T.mul(diff, diff)
-            per = sq.array.reshape(steps, batch, -1).sum(axis=(0, 2))
-            return recon, T.scale(T.total_sum(sq), 1.0 / batch), per
-        # bce: reconstruct one-hot token rows through sigmoid outputs
-        onehot = np.zeros(recon.shape)
-        onehot[np.arange(steps * batch), token_ids.T.reshape(-1)] = 1.0
-        loss = optim.bce(recon, onehot)
-        p = np.clip(recon.array, optim.PROB_FLOOR, 1.0 - optim.PROB_FLOOR)
-        cell = -(onehot * np.log(p) + (1.0 - onehot) * np.log(1.0 - p))
-        per = cell.reshape(steps, batch, -1).mean(axis=(0, 2))
-        return recon, loss, per
-
-    def _recon_head_width(self) -> int:
-        return self.cfg.embed_dim if self.cfg.recon_mode == "mse" else self.cfg.vocab_size
-
-    def _recon_activation(self) -> str:
-        return "linear" if self.cfg.recon_mode == "mse" else "sigmoid"
+        diff = T.sub(T.reshape(embedded, recon.shape), recon)
+        sq = T.mul(diff, diff)
+        per = sq.array.reshape(steps, batch, -1).sum(axis=(0, 2))
+        return recon, T.scale(T.total_sum(sq), 1.0 / batch), per
 
     def losses(self, out: BatchOutput, targets, recon_weight: float = 0.5):
         """(total, classification, reconstruction) scalar tensors for a batch."""
@@ -265,7 +250,7 @@ class LstmClassifier(_SequenceModel):
                       rng: np.random.Generator | None = None,
                       reconstruct: bool = True) -> BatchOutput:
         ids = _check_pass(tokens, training, reconstruct)
-        features = L.lstm_forward(self.trunk, self._embed(ids), training, rng, last_only=True)
+        [features] = L.lstm_forward([self.trunk], self._embed(ids), training, rng, last_only=True)
         return BatchOutput(*self._classify(features))
 
 
@@ -298,8 +283,8 @@ class BiLstmClassifier(_SequenceModel):
         ids = _check_pass(tokens, training, reconstruct)
         # classify from the final state of each direction: both have read
         # the whole sequence; the backward one reads the reversed ids
-        fwd = L.lstm_forward(self.fwd, self._embed(ids), training, rng, last_only=True)
-        bwd = L.lstm_forward(self.bwd, self._embed(ids[:, ::-1]), training, rng, last_only=True)
+        [fwd] = L.lstm_forward([self.fwd], self._embed(ids), training, rng, last_only=True)
+        [bwd] = L.lstm_forward([self.bwd], self._embed(ids[:, ::-1]), training, rng, last_only=True)
         return BatchOutput(*self._classify(T.concat([fwd, bwd], axis=1)))
 
 
@@ -314,8 +299,7 @@ class LstmAutoencoder(_SequenceModel):
             cfg.embed_dim, cfg.hidden_size, cfg.num_layers, cfg.dropout, self._rng, prefix="enc")
         self.decoder = L.StackedLSTMParams.init(
             cfg.hidden_size, cfg.hidden_size, cfg.num_layers, cfg.dropout, self._rng, prefix="dec")
-        self.recon = L.DenseParams.init(cfg.hidden_size, self._recon_head_width(), self._rng,
-                                        prefix="recon")
+        self.recon = L.DenseParams.init(cfg.hidden_size, cfg.embed_dim, self._rng, prefix="recon")
         self.head = L.DenseParams.init(cfg.hidden_size, cfg.num_classes, self._rng, prefix="head")
 
     @property
@@ -335,12 +319,12 @@ class LstmAutoencoder(_SequenceModel):
         ids = _check_pass(tokens, training, reconstruct)
         seq = self._embed(ids)
         steps = ids.shape[1]
-        encoded = L.lstm_forward(self.encoder, seq, training, rng, last_only=True)
+        [encoded] = L.lstm_forward([self.encoder], seq, training, rng, last_only=True)
         if not reconstruct:
             return BatchOutput(*self._classify(encoded))
-        decoded = L.lstm_forward(self.decoder, encoded, training, rng, steps=steps)
+        [decoded] = L.lstm_forward([self.decoder], encoded, training, rng, steps=steps)
         rows = T.reshape(decoded, (steps * ids.shape[0], decoded.shape[2]))
-        recon, recon_loss, per = self._reconstruct(rows, seq, ids)
+        recon, recon_loss, per = self._reconstruct(rows, seq)
         return BatchOutput(*self._classify(encoded), recon_loss, per, recon)
 
 
@@ -370,7 +354,7 @@ class TlaNet(_SequenceModel):
             self.dec_stage2.append(L.StackedLSTMParams.init(
                 h, h, cfg.num_layers, cfg.dropout, self._rng, prefix=f"dec{k}.s2"))
         self.dec_meta = MetaLearnerParams.init(h, self._rng, prefix="dec_meta")
-        self.recon = L.DenseParams.init(h, self._recon_head_width(), self._rng, prefix="recon")
+        self.recon = L.DenseParams.init(h, cfg.embed_dim, self._rng, prefix="recon")
         self.class_hidden = L.DenseParams.init(h, cfg.head_hidden, self._rng, prefix="class.hidden")
         self.class_out = L.DenseParams.init(cfg.head_hidden, cfg.num_classes, self._rng,
                                             prefix="class.out")
@@ -391,17 +375,37 @@ class TlaNet(_SequenceModel):
         yield from self.class_hidden.tensors()
         yield from self.class_out.tensors()
 
-    def _encode(self, k: int, seq: Tensor, training, rng) -> Tensor:
-        """Stage 1 reads the sequence; stage 2 reads its final state at every step."""
-        s1 = L.lstm_forward(self.enc_stage1[k], seq, training, rng, last_only=True)
-        return L.lstm_forward(self.enc_stage2[k], s1, training, rng, steps=seq.shape[0],
-                              last_only=True)
+    def _dropout_draws(self, training, rng, steps: int, batch: int):
+        """The uniform draws behind the dropout masks of both stages of three
+        branches, (3, layers - 1, steps, batch, hidden) per stage, or None.
 
-    def _decode(self, k: int, fused: Tensor, steps: int, training, rng) -> Tensor:
-        """Both stages read a repeat vector; returns stage 2's (steps * batch, hidden) rows."""
-        d1 = L.lstm_forward(self.dec_stage1[k], fused, training, rng, steps=steps, last_only=True)
-        d2 = L.lstm_forward(self.dec_stage2[k], d1, training, rng, steps=steps)
-        return T.reshape(d2, (steps * d2.shape[1], d2.shape[2]))
+        They are drawn as one block, branch by branch and stage 1 before
+        stage 2: the order in which running each branch's stages one after
+        the other draws them.
+        """
+        cfg = self.cfg
+        if not training or cfg.dropout == 0.0 or cfg.num_layers == 1 or rng is None:
+            return None, None
+        u = rng.random((3, 2, cfg.num_layers - 1, steps, batch, cfg.hidden_size))
+        return u[:, 0], u[:, 1]
+
+    def _encode(self, seq: Tensor, training, rng) -> list[Tensor]:
+        """The three encodings: every stage 1 reads the sequence, and each stage 2
+        reads its own stage 1's final state at every step."""
+        steps = seq.shape[0]
+        draws1, draws2 = self._dropout_draws(training, rng, steps, seq.shape[1])
+        s1 = L.lstm_forward(self.enc_stage1, seq, training, rng, last_only=True, draws=draws1)
+        return L.lstm_forward(self.enc_stage2, s1, training, rng, steps=steps, last_only=True,
+                              draws=draws2)
+
+    def _decode(self, fused: Tensor, steps: int, training, rng) -> list[Tensor]:
+        """Both stages of the three decoders read a repeat vector; returns each
+        stage 2's (steps * batch, hidden) rows."""
+        draws1, draws2 = self._dropout_draws(training, rng, steps, fused.shape[0])
+        d1 = L.lstm_forward(self.dec_stage1, fused, training, rng, steps=steps, last_only=True,
+                            draws=draws1)
+        d2 = L.lstm_forward(self.dec_stage2, d1, training, rng, steps=steps, draws=draws2)
+        return [T.reshape(d, (steps * d.shape[1], d.shape[2])) for d in d2]
 
     def _classify(self, fused: Tensor) -> tuple[Tensor, Tensor]:
         """Class probabilities, and the penultimate activations the rejection head reads."""
@@ -417,19 +421,13 @@ class TlaNet(_SequenceModel):
         seq = self._embed(ids)
         steps = ids.shape[1]
 
-        encodings = []
-        for k in range(3):
-            view = seq
-            if self.cfg.encoder_views == "dropout" and training and self.cfg.dropout > 0.0:
-                view = T.dropout(seq, self.cfg.dropout, rng)
-            encodings.append(self._encode(k, view, training, rng))
-        fusion = meta_learner_combine(self.enc_meta, encodings)
+        fusion = meta_learner_combine(self.enc_meta, self._encode(seq, training, rng))
         if not reconstruct:
             return BatchOutput(*self._classify(fusion.fused))
 
-        decoded = [self._decode(k, fusion.fused, steps, training, rng) for k in range(3)]
+        decoded = self._decode(fusion.fused, steps, training, rng)
         fused_rows = meta_learner_combine(self.dec_meta, decoded).fused
-        recon, recon_loss, per = self._reconstruct(fused_rows, seq, ids)
+        recon, recon_loss, per = self._reconstruct(fused_rows, seq)
         # the head is recorded after the decoders, which fixes the order in
         # which the tape sums fusion.fused's adjoints
         return BatchOutput(*self._classify(fusion.fused), recon_loss, per, recon)

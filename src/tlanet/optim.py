@@ -1,4 +1,4 @@
-"""Losses and optimizers: categorical cross-entropy, reconstruction losses, Adam, a linear-decay schedule."""
+"""Losses and optimizers: categorical cross-entropy, a reconstruction loss, Adam, a linear-decay schedule."""
 
 from __future__ import annotations
 
@@ -44,19 +44,6 @@ def reconstruction_loss(inputs, outputs) -> Tensor:
         raise ShapeError(f"reconstruction: input {i_mat.shape} vs output {o_mat.shape}")
     diff = T.sub(i_mat, o_mat)
     return T.total_sum(T.mul(diff, diff))
-
-
-def bce(probs: Tensor, targets) -> Tensor:
-    """Mean binary cross-entropy between per-element probabilities and 0/1 targets."""
-    y = np.asarray(targets, dtype=np.float64)
-    if tuple(y.shape) != probs.shape:
-        raise ShapeError(f"bce: targets {tuple(y.shape)} vs probs {probs.shape}")
-    y_t = T.constant(y)
-    comp = T.constant(1.0 - y)
-    ones = T.constant(np.ones(probs.shape))
-    pos = T.mul(y_t, T.clip_log(probs, PROB_FLOOR))
-    neg = T.mul(comp, T.clip_log(T.sub(ones, probs), PROB_FLOOR))
-    return T.scale(T.total_sum(T.add(pos, neg)), -1.0 / probs.size)
 
 
 @dataclass

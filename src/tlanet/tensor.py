@@ -14,9 +14,10 @@ matrix), ``weighted_sum`` (one attention weight per row scaling that row
 of a part) and ``lstm_layer``'s repeat vector (one input read at every
 step). Every other op requires exact shape agreement, which keeps each
 backward rule small enough to audit by eye. ``lstm_layer`` is the one
-composite op: a whole LSTM layer over a sequence, with its
-backpropagation through time written out by hand and checked by
-``tla gradcheck``.
+composite op: K LSTM layers of the same shape run side by side over a
+sequence, with their backpropagation through time written out by hand and
+checked by ``tla gradcheck``. It is also the one op with several outputs,
+one per branch, recorded as a single tape record.
 """
 
 from __future__ import annotations
@@ -137,9 +138,11 @@ def constant(values, shape=None) -> Tensor:
 
 @dataclass
 class _Record:
-    out: Tensor
+    out: Tensor | tuple[Tensor, ...]  # a tuple for an op with several outputs
     inputs: tuple[Tensor, ...]
-    rule: object  # callable: shaped output adjoint -> tuple of shaped input adjoints
+    # callable: shaped output adjoint -> tuple of shaped input adjoints; an op
+    # with several outputs gets a list of their adjoints, None where none arrived
+    rule: object
 
 
 _TLS = threading.local()
@@ -197,10 +200,17 @@ class Tape:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
         adjoints: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones(loss.shape))}
         for rec in reversed(self._records):
-            entry = adjoints.pop(id(rec.out), None)
-            if entry is None:
-                continue
-            for tin, g in zip(rec.inputs, rec.rule(entry[1])):
+            if type(rec.out) is tuple:
+                gs = [adjoints.pop(id(o), (None, None))[1] for o in rec.out]
+                if all(g is None for g in gs):
+                    continue
+                grads = rec.rule(gs)
+            else:
+                entry = adjoints.pop(id(rec.out), None)
+                if entry is None:
+                    continue
+                grads = rec.rule(entry[1])
+            for tin, g in zip(rec.inputs, grads):
                 if g is None:
                     continue
                 prev = adjoints.get(id(tin))
@@ -222,18 +232,32 @@ def _recording_tape(inputs: tuple[Tensor, ...]) -> "Tape | None":
     return None
 
 
-def _emit(values: np.ndarray, shape, inputs: tuple[Tensor, ...], rule) -> Tensor:
-    """Wrap an op's freshly computed array; the output takes ownership, so no copy."""
+def _output(values: np.ndarray, shape, requires_grad: bool) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.shape = shape
     out.values = values.reshape(-1)
     out._grad = None
     out.name = None
+    out.requires_grad = requires_grad
+    return out
+
+
+def _emit(values: np.ndarray, shape, inputs: tuple[Tensor, ...], rule) -> Tensor:
+    """Wrap an op's freshly computed array; the output takes ownership, so no copy."""
     tape = _recording_tape(inputs)
-    out.requires_grad = tape is not None
+    out = _output(values, shape, tape is not None)
     if tape is not None:
         tape._record(out, inputs, rule)
     return out
+
+
+def _emit_many(values: list[np.ndarray], inputs: tuple[Tensor, ...], rule,
+               tape: "Tape | None") -> list[Tensor]:
+    """``_emit`` for an op with several outputs, each a contiguous array, recorded as one record."""
+    outs = [_output(v, v.shape, tape is not None) for v in values]
+    if tape is not None:
+        tape._record(tuple(outs), inputs, rule)
+    return outs
 
 
 def _operands(inputs: tuple[Tensor, ...]) -> list[np.ndarray]:
@@ -463,152 +487,233 @@ def lookup_rows(table: Tensor, ids, padding_idx: int | None = None) -> Tensor:
     return _emit(out, out.shape, (table,), rule)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate)."""
+def dropout(x: Tensor, rate: float, draws: np.ndarray) -> Tensor:
+    """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
+
+    ``draws`` holds one uniform [0, 1) draw per element of ``x``, made by
+    the caller; an element survives where its draw is below ``1 - rate``.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
+    if draws.shape != x.shape:
+        raise ShapeError(f"dropout: draws {draws.shape} do not fit {x.shape}")
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
+    mask = (draws < keep) / keep
     return _emit(x.array * mask, x.shape, (x,), lambda g, mask=mask: (g * mask,))
 
 
-def lstm_layer(x: Tensor, w: Tensor, u: Tensor, b: Tensor, steps: int | None = None,
-               last_only: bool = False) -> Tensor:
-    """One LSTM layer over a whole sequence, recorded as a single op.
+# Backpropagation through time forms its per-step factors for blocks of
+# steps with at most this many values each (64 KiB), so that no temporary
+# grows with the sequence, the batch or the branches: larger ones are paged
+# in afresh on every call.
+BPTT_BLOCK_VALUES = 8192
 
-    ``x`` is a time-major sequence (steps, batch, in), or a (batch, in)
-    repeat vector that every one of ``steps`` steps reads. ``w`` (4H, in),
-    ``u`` (4H, H) and ``b`` (4H,) pack the input, forget, output and
+
+def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: list[Tensor],
+               steps: int | None = None, last_only: bool = False) -> list[Tensor]:
+    """K LSTM layers of the same shape run side by side, recorded as a single op.
+
+    Branch ``k`` has its own packed gates: ``w[k]`` (4H, in), ``u[k]``
+    (4H, H) and ``b[k]`` (4H,) hold the input, forget, output and
     candidate gates in that order, the row layout of torch.nn.LSTM's
-    ``weight_ih``/``weight_hh``. The state starts at zero. Returns the
-    hidden sequence (steps, batch, H), or only the last hidden state
-    (batch, H) when ``last_only``.
+    ``weight_ih``/``weight_hh``. ``x`` is one input that every branch
+    reads, or a list of K inputs, one per branch. An input is a time-major
+    sequence (steps, batch, in), or a (batch, in) repeat vector that every
+    one of ``steps`` steps reads. The state starts at zero. Returns the K
+    branches' hidden sequences (steps, batch, H), or only their last hidden
+    states (batch, H) when ``last_only``. A single layer is the case K = 1.
 
-    Inside, the layer is feature-major. A step's gates are one (4H, batch)
-    block ``z``: the sigmoid of the input, forget and output gates runs in
-    place on the contiguous rows ``z[:3H]``, the candidate's tanh on
-    ``z[3H:]``, and the cell is (H, batch). The recurrent product is
-    ``u @ h``, where ``h`` is the (H, batch) transpose view of a hidden
-    state stored batch-major, the layout the op returns. The sequence's
-    input projection is the one product ``x_rows @ w.T``, read through its
-    transpose at each step; a repeat vector's is ``w @ x.T``. With these
-    operand layouts OpenBLAS sums each product as the batch-major layer
-    (``h @ u.T`` on (batch, H) states) did, so outputs and gradients are
-    bitwise the same at every batch up to 192 and every multiple of 8
-    (OpenBLAS 0.3.31 on an AVX-512 Xeon); at other batch sizes some
-    products take another kernel and agree to a few ulps.
+    Inside, the layer is feature-major and gate-major. A step's gates for
+    all branches are one (4, K, H, batch) block ``z``: the sigmoid of the
+    input, forget and output gates runs in place on the contiguous
+    ``z[:3]``, the candidate's tanh on ``z[3]``, and the cells are
+    (K, H, batch). The recurrent products ``u[k] @ h[k]`` are the slices of
+    one K-batched matmul, where ``h[k]`` is the (H, batch) transpose view of
+    a hidden state stored batch-major, the layout the op returns; with one
+    branch the product is written straight into ``z``. A sequence's input
+    projection is ``x_rows @ w[k].T`` per branch, read through its transpose
+    at each step; a repeat vector's is ``w[k] @ x.T``. With these operand
+    layouts OpenBLAS runs every branch's products as a single-branch call
+    does and as the batch-major layer (``h @ u.T`` on (batch, H) states)
+    did, so outputs and gradients are bitwise the same at every batch up to
+    192 and every multiple of 8 (OpenBLAS 0.3.31 on an AVX-512 Xeon); at
+    other batch sizes some products take another kernel and agree to a few
+    ulps.
 
-    Backward is backpropagation through time over per-step caches that
-    are kept only when a tape records the call. Each step's gate adjoints
-    are formed in one contiguous (4H, batch) block and copied into
-    batch-major rows, which give the next ``dh`` and, after the loop, the
-    weight gradients summed over steps and batch rows in batch-major
-    order. It reads ``w`` and ``u`` by reference, which holds because
-    parameters change only after backward.
+    Backward is backpropagation through time over the activated gates and
+    cells, kept only when a tape records the call; ``tanh`` of each cell is
+    recomputed from the kept cell, which gives the same bits. The factors
+    that do not depend on the adjoint are formed for blocks of steps
+    (``BPTT_BLOCK_VALUES``). Each step's gate adjoints are formed in one
+    (K, 4, H, batch) block and copied into each branch's batch-major rows,
+    which give the next ``dh`` and, after the loop, the weight gradients
+    summed over steps and batch rows in batch-major order. A shared input
+    appears once per branch among the record's inputs, last branch first,
+    so the tape sums its gradient as it summed K single-branch ops
+    recorded in branch order. The rule reads ``w`` and ``u`` by reference,
+    which holds because parameters change only after backward.
     """
-    if len(w.shape) != 2 or len(u.shape) != 2 or w.shape[0] % 4 or w.shape[0] == 0:
-        raise ShapeError(f"lstm_layer: gate weights {w.shape} and {u.shape} must be (4H, in) and (4H, H)")
-    hidden = w.shape[0] // 4
-    if u.shape != (4 * hidden, hidden):
-        raise ShapeError(f"lstm_layer: recurrent gate weights {u.shape} do not fit "
+    branches = len(w)
+    if branches == 0 or len(u) != branches or len(b) != branches:
+        raise ShapeError(f"lstm_layer: {len(w)}, {len(u)} and {len(b)} branches of gate weights")
+    xs = [x] * branches if isinstance(x, Tensor) else list(x)
+    if len(xs) != branches:
+        raise ShapeError(f"lstm_layer: {len(xs)} inputs for {branches} branches")
+    w0, u0, b0 = w[0], u[0], b[0]
+    if len(w0.shape) != 2 or len(u0.shape) != 2 or w0.shape[0] % 4 or w0.shape[0] == 0:
+        raise ShapeError(f"lstm_layer: gate weights {w0.shape} and {u0.shape} must be (4H, in) and (4H, H)")
+    hidden = w0.shape[0] // 4
+    if u0.shape != (4 * hidden, hidden):
+        raise ShapeError(f"lstm_layer: recurrent gate weights {u0.shape} do not fit "
                          f"{hidden} hidden units, expected {(4 * hidden, hidden)}")
-    if b.shape != (4 * hidden,):
-        raise ShapeError(f"lstm_layer: gate bias {b.shape} does not match gate weights {w.shape}")
-    repeat = len(x.shape) == 2
+    if b0.shape != (4 * hidden,):
+        raise ShapeError(f"lstm_layer: gate bias {b0.shape} does not match gate weights {w0.shape}")
+    for k in range(1, branches):
+        if (w[k].shape, u[k].shape, b[k].shape) != (w0.shape, u0.shape, b0.shape):
+            raise ShapeError(f"lstm_layer: branch {k}'s gates {w[k].shape}, {u[k].shape}, {b[k].shape} "
+                             f"differ from branch 0's {w0.shape}, {u0.shape}, {b0.shape}")
+        if xs[k].shape != xs[0].shape:
+            raise ShapeError(f"lstm_layer: branch {k}'s input {xs[k].shape} differs from "
+                             f"branch 0's {xs[0].shape}")
+    x_shape = xs[0].shape
+    repeat = len(x_shape) == 2
     if repeat:
         if steps is None or steps < 1:
             raise ValueError(f"lstm_layer on a repeat vector needs steps >= 1, got {steps}")
-    elif len(x.shape) != 3 or steps not in (None, x.shape[0]):
-        raise ShapeError(f"lstm_layer: input {x.shape} is neither (steps, batch, in) "
+    elif len(x_shape) != 3 or steps not in (None, x_shape[0]):
+        raise ShapeError(f"lstm_layer: input {x_shape} is neither (steps, batch, in) "
                          f"nor a (batch, in) repeat vector with steps given")
     else:
-        steps = x.shape[0]
+        steps = x_shape[0]
         if steps == 0:
             raise ValueError("lstm_layer needs a non-empty sequence")
-    if x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"lstm_layer: input width {x.shape[-1]} does not match gate weights {w.shape}")
+    if x_shape[-1] != w0.shape[1]:
+        raise ShapeError(f"lstm_layer: input width {x_shape[-1]} does not match gate weights {w0.shape}")
 
-    batch, width = x.shape[-2], x.shape[-1]
-    h2, h3, h4 = 2 * hidden, 3 * hidden, 4 * hidden
-    xv, wv, uv, bv = x.array, w.array, u.array, b.array
-    if repeat:
-        xw = wv @ xv.T  # (4H, batch)
-    else:  # (steps, batch, 4H), read as (4H, batch) per step
-        xw = (xv.reshape(steps * batch, width) @ wv.T).reshape(steps, batch, h4)
-    bias = np.repeat(bv[:, None], batch, axis=1)  # a tile adds in one contiguous pass, a column does not
-    keep = _recording_tape((x, w, u, b)) is not None
+    n = branches
+    batch, width = x_shape[-2], x_shape[-1]
+    h4 = 4 * hidden
+    xvs = [t.array for t in xs]
+    wvs = [t.array for t in w]
+    uv = np.array([t.array for t in u])  # (K, 4H, H)
+    if repeat:  # (K, 4H, batch), read gate-major
+        xw = np.empty((n, h4, batch))
+        for k in range(n):
+            np.matmul(wvs[k], xvs[k].T, out=xw[k])
+        xw_gm = xw.reshape(n, 4, hidden, batch).transpose(1, 0, 2, 3)
+    else:  # (K, steps * batch, 4H), read gate-major per step
+        xw = np.empty((n, steps * batch, h4))
+        for k in range(n):
+            np.matmul(xvs[k].reshape(steps * batch, width), wvs[k].T, out=xw[k])
+        xw_gm = xw.reshape(n, steps, batch, 4, hidden).transpose(1, 3, 0, 4, 2)
+    # a tile adds in one contiguous pass, a column does not
+    bias = np.empty((4, n, hidden, batch))
+    bias[...] = np.array([t.array for t in b]).reshape(n, 4, hidden, 1).transpose(1, 0, 2, 3)
+    inputs = (*reversed(xs), *(t for k in range(n) for t in (w[k], u[k], b[k])))
+    tape = _recording_tape(inputs)
+    keep = tape is not None
     if keep or not last_only:
-        hs = np.zeros((steps + 1, batch, hidden))  # hs[t] is the state before step t
+        hs = np.zeros((n, steps + 1, batch, hidden))  # hs[k, t] is branch k's state before step t
     if keep:
-        gates = np.empty((steps, h4, batch))  # activated i, f, o, candidate
-        cs = np.zeros((steps + 1, hidden, batch))  # cs[t] is the cell before step t
-        tcs = np.empty((steps, hidden, batch))  # tanh of the cell after step t
-    z = np.empty((h4, batch))
-    h = np.zeros((batch, hidden))
-    c = np.zeros((hidden, batch))
+        gates = np.empty((steps, 4, n, hidden, batch))  # activated i, f, o, candidate
+        cs = np.zeros((steps + 1, n, hidden, batch))  # cs[t] is the cell before step t
+    if n > 1:  # the recurrent products u[k] @ h[k], branch-major
+        rec = np.empty((n, h4, batch))
+        rec_gm = rec.reshape(n, 4, hidden, batch).transpose(1, 0, 2, 3)
+    if not keep:
+        z = np.empty((4, n, hidden, batch))
+    h = np.zeros((n, batch, hidden))
+    h_t = h.transpose(0, 2, 1)  # the (K, H, batch) view the products read and the step writes
+    if keep or not last_only:
+        hs_t = hs.transpose(0, 1, 3, 2)
+    c = np.zeros((n, hidden, batch))
+    tc = np.empty((n, hidden, batch))  # tanh of the cell, recomputed by the backward pass
     for t in range(steps):
         if keep:
             z = gates[t]
-        np.matmul(uv, h.T, out=z)
-        z += xw if repeat else xw[t].T
+        xw_t = xw_gm if repeat else xw_gm[t]
+        if n == 1:  # one branch's gate-major block is its product's layout: add in place
+            np.matmul(uv, h_t, out=z.reshape(1, h4, batch))
+            z += xw_t
+        else:
+            np.matmul(uv, h_t, out=rec)
+            np.add(rec_gm, xw_t, out=z)
         z += bias
-        sig = z[:h3]  # sigmoid as 1 / (1 + exp(-v)), in place
+        sig = z[:3]  # sigmoid as 1 / (1 + exp(-v)), in place
         np.negative(sig, out=sig)
         np.exp(sig, out=sig)
         sig += 1.0
         np.divide(1.0, sig, out=sig)
-        np.tanh(z[h3:], out=z[h3:])
-        c_new = cs[t + 1] if keep else np.empty_like(c)
-        np.multiply(z[hidden:h2], c, out=c_new)
-        c_new += z[:hidden] * z[h3:]
+        np.tanh(z[3], out=z[3])
+        c_new = cs[t + 1] if keep else c
+        np.multiply(z[1], c, out=c_new)
+        c_new += z[0] * z[3]
         c = c_new
-        tc = np.tanh(c, out=tcs[t]) if keep else np.tanh(c)
-        h = hs[t + 1] if keep or not last_only else np.empty((batch, hidden))
-        np.multiply(z[h2:h3], tc, out=h.T)
-    out = h if last_only else hs[1:]
+        np.tanh(c, out=tc)
+        if keep or not last_only:
+            h, h_t = hs[:, t + 1], hs_t[:, t + 1]
+        np.multiply(z[2], tc, out=h_t)
+    outs = [h[k] for k in range(n)] if last_only else [hs[k, 1:] for k in range(n)]
 
-    def rule(g):
-        i, f, o, cand = (gates[:, k * hidden:(k + 1) * hidden] for k in range(4))
-        # the factors that do not depend on the adjoint, for all steps at once:
-        # d_o = dh * k_o, dc += dh * k_c, and (d_i, d_f, d_cand) = dc * k_gates
-        k_o = tcs * o * (1.0 - o)
-        k_c = o * (1.0 - tcs * tcs)
-        k_gates = np.empty((steps, 4, hidden, batch))
-        k_gates[:, 0] = cand * i * (1.0 - i)
-        k_gates[:, 1] = cs[:steps] * f * (1.0 - f)
-        k_gates[:, 2] = 0.0
-        k_gates[:, 3] = i * (1.0 - cand * cand)
-        d = np.empty((4, hidden, batch))  # one step's gate adjoints
-        dz = np.empty((steps, batch, h4))  # all of them, batch-major
-        dh = np.zeros((hidden, batch))
-        dc = np.zeros((hidden, batch))
-        ut = uv.T
-        for t in range(steps - 1, -1, -1):
-            if not last_only:
-                dh = dh + g[t].T
-            elif t == steps - 1:
-                dh = dh + g.T
-            dc += dh * k_c[t]
-            np.multiply(dc, k_gates[t], out=d)
-            np.multiply(dh, k_o[t], out=d[2])
-            dc *= f[t]
-            np.copyto(dz[t], d.reshape(h4, batch).T)
-            dh = ut @ dz[t].T
-        rows = dz.reshape(steps * batch, h4)
-        du = rows.T @ hs[:steps].reshape(steps * batch, hidden)
-        db = rows.sum(axis=0)
-        if repeat:
-            dz_x = dz.sum(axis=0)
-            dw = dz_x.T @ xv
-        else:
-            dz_x = rows
-            dw = rows.T @ xv.reshape(steps * batch, width)
-        dx = (dz_x @ wv).reshape(x.shape) if x.requires_grad else None
-        return dx, dw, du, db
+    def rule(gs):
+        g = np.zeros((n, *outs[0].shape))  # a branch no loss reads has a zero adjoint
+        for k, gk in enumerate(gs):
+            if gk is not None:
+                g[k] = gk
+        g_t = g.transpose(0, 2, 1) if last_only else g.transpose(0, 1, 3, 2)
+        d = np.empty((n, 4, hidden, batch))  # one step's gate adjoints, branch-major
+        d_rows = d.reshape(n, h4, batch).transpose(0, 2, 1)
+        dz = np.empty((n, steps, batch, h4))  # all of them, batch-major per branch
+        dz_t = dz.transpose(0, 1, 3, 2)
+        dh = np.zeros((n, hidden, batch))
+        dc = np.zeros((n, hidden, batch))
+        dc_gates = dc[:, None]
+        ut = uv.transpose(0, 2, 1)
+        # the factors that do not depend on the adjoint, a block of steps at a
+        # time: d_o = dh * k_o, dc += dh * k_c and (d_i, d_f, d_cand) = dc * k_gates
+        block = max(1, BPTT_BLOCK_VALUES // (n * hidden * batch))
+        k_gates = np.empty((min(block, steps), n, 4, hidden, batch))
+        k_gates[:, :, 2] = 0.0
+        for hi in range(steps, 0, -block):
+            lo = max(0, hi - block)
+            i, f, o, cand = (gates[lo:hi, q] for q in range(4))
+            tcs = np.tanh(cs[lo + 1:hi + 1])  # recomputed, not kept: the same bits from the same cells
+            k_o = tcs * o * (1.0 - o)
+            k_c = o * (1.0 - tcs * tcs)
+            kg = k_gates[:hi - lo]
+            kg[:, :, 0] = cand * i * (1.0 - i)
+            kg[:, :, 1] = cs[lo:hi] * f * (1.0 - f)
+            kg[:, :, 3] = i * (1.0 - cand * cand)
+            for j in range(hi - lo - 1, -1, -1):
+                t = lo + j
+                if not last_only:
+                    dh = dh + g_t[:, t]
+                elif t == steps - 1:
+                    dh = dh + g_t
+                dc += dh * k_c[j]
+                np.multiply(dc_gates, kg[j], out=d)
+                np.multiply(dh, k_o[j], out=d[:, 2])
+                dc *= f[j]
+                np.copyto(dz[:, t], d_rows)
+                dh = np.matmul(ut, dz_t[:, t])
+        dxs, params = [], []
+        for k in range(n):
+            rows = dz[k].reshape(steps * batch, h4)
+            du = rows.T @ hs[k, :steps].reshape(steps * batch, hidden)
+            db = rows.sum(axis=0)
+            if repeat:
+                dz_x = dz[k].sum(axis=0)
+                dw = dz_x.T @ xvs[k]
+            else:
+                dz_x = rows
+                dw = rows.T @ xvs[k].reshape(steps * batch, width)
+            dxs.append((dz_x @ wvs[k]).reshape(x_shape) if xs[k].requires_grad else None)
+            params += (dw, du, db)
+        return (*reversed(dxs), *params)
 
-    return _emit(out, out.shape, (x, w, u, b), rule)
+    return _emit_many(outs, inputs, rule, tape)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,24 @@ class TestCheckpointMeta:
             CK.load_checkpoint(path)
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("key,kept,other", [("recon_mode", "mse", "bce"),
+                                                ("encoder_views", "shared", "dropout")])
+    def test_checkpoint_written_with_removed_option(self, tmp_path, key, kept, other):
+        # checkpoints from before the option was removed hold its old default, which loads
+        path = checkpoint_with_head(tmp_path / "m.tlac", "tla-net")
+        bundle = CK.load_checkpoint(path)
+        assert key not in bundle.meta["config"]
+        tokens = np.array([[2, 3, 4], [5, 1, 0]])
+        break_meta(path, "config", {**bundle.meta["config"], key: kept})
+        old = CK.load_checkpoint(path)
+        assert old.config == bundle.config
+        assert np.array_equal(old.model.predict_batch(tokens)[0],
+                              bundle.model.predict_batch(tokens)[0])
+        break_meta(path, "config", {**bundle.meta["config"], key: other})
+        with pytest.raises(CK.ArtifactMismatch, match=f"{key}={other!r}") as err:
+            CK.load_checkpoint(path)
+        assert "\n" not in str(err.value)
+
     def test_missing_head_array_rejected(self, tmp_path):
         path = checkpoint_with_head(tmp_path / "m.tlac")
         meta, arrays = CK.load_container(path, CK.MODEL_MAGIC)

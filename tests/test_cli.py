@@ -154,6 +154,17 @@ class TestTrainCommand:
         assert "classifier.class_tap" in err and "removed" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key,value", [("recon_mode", "mse"), ("recon_mode", "bce"),
+                                           ("encoder_views", "shared"), ("encoder_views", "dropout")])
+    def test_removed_option_exit_2(self, tmp_path, capsys, key, value):
+        config, _ = small_config(tmp_path, model="tla-net")
+        bad = json.loads(config.read_text())
+        bad["classifier"][key] = value
+        config.write_text(json.dumps(bad))
+        err = expect_one_line_error(capsys, 2, ["train", "--config", str(config)])
+        assert f"classifier.{key}" in err and "removed" in err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_equals_straight_run(self, tmp_path):
         config6, _ = small_config(tmp_path, epochs=6, name="config6.json")
         straight = tmp_path / "straight"
@@ -376,6 +387,17 @@ class TestEvaluateCommand:
             "evaluate", "--checkpoint", str(ckpt), "--dataset", "builtin:synthetic-test",
             "--out", str(tmp_path / "eval")])
         assert "class_tap='reconstruction'" in err
+
+    @pytest.mark.parametrize("key,value", [("recon_mode", "bce"), ("encoder_views", "dropout")])
+    def test_removed_option_checkpoint_exit_4(self, tmp_path, capsys, key, value):
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac", "tla-net")
+        meta, arrays = CK.load_container(ckpt, CK.MODEL_MAGIC)
+        meta["config"][key] = value
+        CK.save_container(ckpt, CK.MODEL_MAGIC, meta, list(arrays.items()))
+        err = expect_one_line_error(capsys, 4, [
+            "evaluate", "--checkpoint", str(ckpt), "--dataset", "builtin:synthetic-test",
+            "--out", str(tmp_path / "eval")])
+        assert f"{key}={value!r}" in err
 
     @pytest.mark.parametrize("kind", ["lstm", "lstm-ae", "tla-net"])
     def test_report_carries_mean_reconstruction_loss(self, tmp_path, kind):

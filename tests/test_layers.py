@@ -17,7 +17,13 @@ def zero_cell(input_size=2, hidden_size=2):
 
 
 def run_cell(p, x, **kwargs):
-    return T.lstm_layer(x, p.w, p.u, p.b, **kwargs)
+    [h] = T.lstm_layer(x, [p.w], [p.u], [p.b], **kwargs)
+    return h
+
+
+def run_stack(stack, x, **kwargs):
+    [h] = L.lstm_forward([stack], x, **kwargs)
+    return h
 
 
 class TestLSTMCell:
@@ -61,7 +67,7 @@ class TestLSTMCell:
         with pytest.raises(T.ShapeError, match="input width 3"):
             run_cell(p, T.Tensor([[[1.0, 2.0, 3.0]]]))
         with pytest.raises(T.ShapeError, match="recurrent gate weights"):
-            T.lstm_layer(T.Tensor([[[1.0, 2.0]]]), p.w, T.Tensor.zeros((12, 2)), p.b)
+            T.lstm_layer(T.Tensor([[[1.0, 2.0]]]), [p.w], [T.Tensor.zeros((12, 2))], [p.b])
         with pytest.raises(T.ShapeError, match="recurrent gate weights"):
             L.LSTMCellParams(p.w, T.Tensor.zeros((12, 2)), p.b)
 
@@ -105,24 +111,24 @@ class TestStackedLSTM:
         stack = L.StackedLSTMParams(
             [zero_cell(2, 3), zero_cell(3, 3)], dropout=0.0)
         seq = T.Tensor(np.tile([0.4, -0.2], (4, 1, 1)))
-        out = L.lstm_forward(stack, seq)
+        out = run_stack(stack, seq)
         assert out.shape == (4, 1, 3)
         assert np.all(out.array == 0.0)
-        assert L.lstm_forward(stack, seq, last_only=True).shape == (1, 3)
+        assert run_stack(stack, seq, last_only=True).shape == (1, 3)
 
     def test_inference_ignores_rng(self):
         rng = np.random.default_rng(6)
         stack = L.StackedLSTMParams.init(2, 3, num_layers=2, dropout=0.5, rng=rng)
         seq = T.Tensor(rng.uniform(-1, 1, (3, 1, 2)))
-        a = L.lstm_forward(stack, seq, training=False, rng=np.random.default_rng(1))
-        b = L.lstm_forward(stack, seq, training=False, rng=np.random.default_rng(999))
+        a = run_stack(stack, seq, training=False, rng=np.random.default_rng(1))
+        b = run_stack(stack, seq, training=False, rng=np.random.default_rng(999))
         assert np.array_equal(a.array, b.array)
 
     def test_reference_width_three_layers_128_cells(self):
         rng = np.random.default_rng(7)
         stack = L.StackedLSTMParams.init(8, 128, num_layers=3, dropout=0.2, rng=rng)
         seq = T.Tensor(rng.uniform(-1, 1, (20, 1, 8)))
-        out = L.lstm_forward(stack, seq)
+        out = run_stack(stack, seq)
         assert out.shape == (20, 1, 128)
         assert len(stack.cells) == 3
 
@@ -131,20 +137,20 @@ class TestStackedLSTM:
         stack = L.StackedLSTMParams.init(2, 2, num_layers=2, dropout=0.2, rng=rng)
         seq = T.Tensor([[[1.0, 1.0]]])
         with pytest.raises(ValueError, match="rng"):
-            L.lstm_forward(stack, seq, training=True, rng=None)
+            run_stack(stack, seq, training=True, rng=None)
 
     def test_training_is_seed_deterministic(self):
         init_rng = np.random.default_rng(9)
         stack = L.StackedLSTMParams.init(2, 3, num_layers=2, dropout=0.3, rng=init_rng)
         seq = T.Tensor(np.tile([0.5, -0.5], (3, 1, 1)))
-        a = L.lstm_forward(stack, seq, training=True, rng=np.random.default_rng(42))
-        b = L.lstm_forward(stack, seq, training=True, rng=np.random.default_rng(42))
+        a = run_stack(stack, seq, training=True, rng=np.random.default_rng(42))
+        b = run_stack(stack, seq, training=True, rng=np.random.default_rng(42))
         assert np.array_equal(a.array, b.array)
 
     def test_empty_sequence_rejected(self):
         stack = L.StackedLSTMParams([zero_cell()], dropout=0.0)
         with pytest.raises(ValueError, match="non-empty"):
-            L.lstm_forward(stack, T.Tensor(np.zeros((0, 1, 2))))
+            run_stack(stack, T.Tensor(np.zeros((0, 1, 2))))
 
     def test_layer_width_chain_validated(self):
         with pytest.raises(T.ShapeError):
@@ -156,8 +162,47 @@ class TestStackedLSTM:
         for seq, steps in ((T.Tensor(rng.uniform(-1, 1, (7, 2, 2))), None),
                            (T.Tensor(rng.uniform(-1, 1, (2, 2))), 7)):
             with T.Tape() as tape:
-                L.lstm_forward(stack, seq, steps=steps, last_only=True)
+                run_stack(stack, seq, steps=steps, last_only=True)
             assert len(tape) == 3
+
+    @pytest.mark.parametrize("batch,ops_per_depth", [(2, 1), (200, 3)])
+    def test_stacks_side_by_side_match_separate_runs(self, monkeypatch, batch, ops_per_depth):
+        # three stacks over one shared sequence, trained with dropout: the
+        # same outputs, gradients and dropout draws as one stack after another;
+        # a large batch runs one op per stack
+        rng = np.random.default_rng(20)
+        stacks = [L.StackedLSTMParams.init(3, 16, num_layers=2, dropout=0.3, rng=rng)
+                  for _ in range(3)]
+        x = T.Tensor(rng.uniform(-1, 1, (4, batch, 3)), requires_grad=True)
+        layer, calls = T.lstm_layer, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return layer(*args, **kwargs)
+
+        monkeypatch.setattr(T, "lstm_layer", counted)
+
+        def run(side_by_side):
+            calls.clear()
+            draws = np.random.default_rng(7)
+            with T.Tape() as tape:
+                if side_by_side:
+                    outs = L.lstm_forward(stacks, x, training=True, rng=draws, last_only=True)
+                else:
+                    outs = [run_stack(p, x, training=True, rng=draws, last_only=True) for p in stacks]
+                loss = T.total_sum(T.concat(outs, axis=1))
+            ops = len(calls)
+            tape.backward(loss)
+            grads = [t.grad.copy() for p in stacks for t in p.tensors()] + [x.grad.copy()]
+            for t in [x, *(t for p in stacks for t in p.tensors())]:
+                t.zero_grad()
+            return [o.array.copy() for o in outs], grads, ops
+
+        outs, grads, ops = run(True)
+        ref_outs, ref_grads, ref_ops = run(False)
+        assert (ops, ref_ops) == (2 * ops_per_depth, 6)
+        for a, b in zip(outs + grads, ref_outs + ref_grads):
+            assert np.array_equal(a, b)
 
     def test_matches_step_by_step_reference(self):
         # the gate equations evaluated one step at a time in plain numpy
@@ -173,7 +218,7 @@ class TestStackedLSTM:
             c = f * c + i * np.tanh(z[:, 12:])
             h = o * np.tanh(c)
             expected.append(h)
-        out = L.lstm_forward(L.StackedLSTMParams([p]), T.Tensor(xs))
+        out = run_stack(L.StackedLSTMParams([p]), T.Tensor(xs))
         assert np.allclose(out.array, expected, rtol=0.0, atol=1e-14)
 
 
@@ -190,8 +235,8 @@ class TestBiLSTM:
         mid = [[0.3, 0.7]]
         edge = [[-0.5, 0.2]]
         seq = T.Tensor([edge, mid, edge])
-        fwd_seq = L.lstm_forward(stack, seq)
-        bwd_seq = L.lstm_forward(stack, T.Tensor(seq.array[::-1]))
+        fwd_seq = run_stack(stack, seq)
+        bwd_seq = run_stack(stack, T.Tensor(seq.array[::-1]))
         assert np.allclose(fwd_seq.array, bwd_seq.array, atol=1e-15)
 
     def test_zero_params_width(self):
@@ -208,7 +253,7 @@ class TestBiLSTM:
         ids = np.array([[2, 7, 3]])
         features = model.forward_batch(ids).features
         reversed_seq = T.Tensor(model._embed(ids).array[::-1])
-        bwd_final = L.lstm_forward(model.bwd, reversed_seq, last_only=True)
+        bwd_final = run_stack(model.bwd, reversed_seq, last_only=True)
         assert np.array_equal(features.array[:, 2:], bwd_final.array)
 
     def test_hidden_size_mismatch(self):

@@ -99,24 +99,6 @@ class TestReconstructionLoss:
             optim.reconstruction_loss(T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros((3, 2))))
 
 
-class TestBCE:
-    def test_matching_hard_labels(self):
-        probs = T.Tensor([1.0, 0.0, 1.0])
-        assert optim.bce(probs, [1.0, 0.0, 1.0]).item() <= 1e-10
-
-    def test_uninformative_half(self):
-        probs = T.Tensor([0.5, 0.5, 0.5, 0.5])
-        assert math.isclose(optim.bce(probs, [1, 0, 1, 0]).item(), math.log(2.0), rel_tol=1e-12)
-
-    def test_hand_value(self):
-        assert math.isclose(optim.bce(T.Tensor([0.9]), [1.0]).item(),
-                            -math.log(0.9), rel_tol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(T.ShapeError):
-            optim.bce(T.Tensor([0.5, 0.5]), [1.0])
-
-
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = T.Tensor([1.0, -2.0], requires_grad=True, name="p")

@@ -249,19 +249,19 @@ class TestMiscOps:
         rng = np.random.default_rng(3)
         w, u, b = (T.Tensor(rng.uniform(-1, 1, shape)) for shape in ((8, 2), (8, 2), (8,)))
         v = T.Tensor([[1.0, 2.0]])
-        out = T.lstm_layer(v, w, u, b, steps=3)
-        tiled = T.lstm_layer(T.Tensor([[[1.0, 2.0]]] * 3), w, u, b)
+        [out] = T.lstm_layer(v, [w], [u], [b], steps=3)
+        [tiled] = T.lstm_layer(T.Tensor([[[1.0, 2.0]]] * 3), [w], [u], [b])
         assert out.shape == (3, 1, 2)
         assert np.array_equal(out.array, tiled.array)
-        single = T.lstm_layer(v, w, u, b, steps=1)
+        [single] = T.lstm_layer(v, [w], [u], [b], steps=1)
         assert np.array_equal(single.array, out.array[:1])
 
     def test_repeat_vector_rejects_zero(self):
         w, u, b = T.Tensor.zeros((4, 1)), T.Tensor.zeros((4, 1)), T.Tensor.zeros((4,))
         with pytest.raises(ValueError):
-            T.lstm_layer(T.Tensor([[1.0]]), w, u, b, steps=0)
+            T.lstm_layer(T.Tensor([[1.0]]), [w], [u], [b], steps=0)
         with pytest.raises(ValueError):
-            T.lstm_layer(T.Tensor([[1.0]]), w, u, b)
+            T.lstm_layer(T.Tensor([[1.0]]), [w], [u], [b])
 
     def test_repeat_vector_gradient_sums(self):
         # no recurrent weights and a closed forget gate make every step the
@@ -274,7 +274,8 @@ class TestMiscOps:
         def input_grad(steps):
             v = T.Tensor([[1.0, 2.0]], requires_grad=True)
             with T.Tape() as tape:
-                loss = T.total_sum(T.lstm_layer(v, w, u, b, steps=steps))
+                [h] = T.lstm_layer(v, [w], [u], [b], steps=steps)
+                loss = T.total_sum(h)
             tape.backward(loss)
             return v.grad.copy()
 
@@ -311,7 +312,7 @@ class TestMiscOps:
 
     def test_dropout_inference_rate_zero_is_identity(self):
         x = T.Tensor([1.0, 2.0])
-        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+        assert T.dropout(x, 0.0, np.random.default_rng(0).random(x.shape)) is x
 
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(11)
@@ -319,7 +320,7 @@ class TestMiscOps:
         total = 0.0
         trials = 10_000
         for _ in range(trials):
-            total += T.dropout(x, 0.2, rng).array.mean()
+            total += T.dropout(x, 0.2, rng.random(x.shape)).array.mean()
         assert abs(total / trials - 1.0) <= 0.02
 
 
@@ -454,13 +455,13 @@ class TestLstmLayerMatchesBatchMajor:
         x, w, u, b = (T.Tensor(a, requires_grad=True) for a in arrays)
         if taped:
             with T.Tape() as tape:
-                out = T.lstm_layer(x, w, u, b, steps=steps, last_only=last_only)
+                [out] = T.lstm_layer(x, [w], [u], [b], steps=steps, last_only=last_only)
                 loss = T.total_sum(T.mul(out, T.constant(g)))
             tape.backward(loss)
             got = [out.array] + [t.grad_array for t in (x, w, u, b)]
             want = [ref_out, *ref_grads]
         else:
-            got = [T.lstm_layer(x, w, u, b, steps=steps, last_only=last_only).array]
+            got = [T.lstm_layer(x, [w], [u], [b], steps=steps, last_only=last_only)[0].array]
             want = [ref_out]
         for a, e in zip(got, want):
             assert a.shape == e.shape
@@ -468,6 +469,98 @@ class TestLstmLayerMatchesBatchMajor:
                 assert np.array_equal(a, e)
             else:  # one row runs the products through BLAS's vector kernels
                 assert np.abs(a - e).max() <= 1e-15
+
+
+class TestLstmLayerBranches:
+    """K branches in one ``lstm_layer`` op against K runs of the batch-major reference."""
+
+    STEPS, WIDTH, HIDDEN = 5, 16, 16
+
+    def branch_inputs(self, rng, repeat, shared, last_only, batch, branches):
+        x_shape = (batch, self.WIDTH) if repeat else (self.STEPS, batch, self.WIDTH)
+        xs = [rng.uniform(-1, 1, x_shape) for _ in range(1 if shared else branches)]
+        params = [[rng.uniform(-1, 1, shape) for shape in (
+            (4 * self.HIDDEN, self.WIDTH), (4 * self.HIDDEN, self.HIDDEN), (4 * self.HIDDEN,))]
+            for _ in range(branches)]
+        out_shape = (batch, self.HIDDEN) if last_only else (self.STEPS, batch, self.HIDDEN)
+        gs = [rng.uniform(-1, 1, out_shape) for _ in range(branches)]
+        return xs, params, gs
+
+    def run_op(self, xs, params, gs, last_only, second_reader=None):
+        """One taped op over all branches; the loss weights branch k's output by ``gs[k]``.
+
+        ``second_reader`` adds ``sum(x * second_reader)`` of the shared input,
+        recorded after the op as TLA-Net's reconstruction reads the embedding.
+        """
+        x_t = [T.Tensor(a, requires_grad=True) for a in xs]
+        w, u, b = ([T.Tensor(p[j], requires_grad=True) for p in params] for j in range(3))
+        x_in = x_t[0] if len(x_t) == 1 else x_t
+        untaped = T.lstm_layer(x_in, w, u, b, steps=self.STEPS, last_only=last_only)
+        with T.Tape() as tape:
+            outs = T.lstm_layer(x_in, w, u, b, steps=self.STEPS, last_only=last_only)
+            loss = T.total_sum(T.mul(outs[0], T.constant(gs[0])))
+            for out, g in zip(outs[1:], gs[1:]):
+                loss = T.add(loss, T.total_sum(T.mul(out, T.constant(g))))
+            if second_reader is not None:
+                loss = T.add(loss, T.total_sum(T.mul(x_t[0], T.constant(second_reader))))
+        tape.backward(loss)
+        return untaped, outs, x_t, w, u, b
+
+    @pytest.mark.parametrize("branches", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 32, 184, 256])
+    @pytest.mark.parametrize("last_only", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_same_bits_as_separate_branches(self, repeat, shared, last_only, batch, branches):
+        rng = np.random.default_rng(batch + 7 * branches)
+        xs, params, gs = self.branch_inputs(rng, repeat, shared, last_only, batch, branches)
+        refs = [batch_major_lstm(xs[0 if shared else k], *params[k], self.STEPS, last_only, gs[k])
+                for k in range(branches)]
+        untaped, outs, x_t, w, u, b = self.run_op(xs, params, gs, last_only)
+        for k, (ref_out, (dx, dw, du, db)) in enumerate(refs):
+            assert np.array_equal(untaped[k].array, ref_out)
+            assert np.array_equal(outs[k].array, ref_out)
+            for got, want in ((w[k], dw), (u[k], du), (b[k], db)):
+                assert np.array_equal(got.grad_array, want)
+            if not shared:
+                assert np.array_equal(x_t[k].grad_array, dx)
+        if shared:  # summed as the tape summed K single-branch ops recorded in branch order
+            want = refs[-1][1][0]
+            for _, (dx, _, _, _) in reversed(refs[:-1]):
+                want = want + dx
+            assert np.array_equal(x_t[0].grad_array, want)
+
+    def test_shared_input_read_again_sums_in_branch_order(self):
+        # the parent's order for TLA-Net's embedding: ((g_recon + dx2) + dx1) + dx0
+        rng = np.random.default_rng(5)
+        xs, params, gs = self.branch_inputs(rng, False, True, True, 32, 3)
+        second = rng.uniform(-1, 1, xs[0].shape)
+        *_, x_t, _, _, _ = self.run_op(xs, params, gs, True, second_reader=second)
+
+        x = T.Tensor(xs[0], requires_grad=True)
+        with T.Tape() as tape:
+            loss = None
+            for p, g in zip(params, gs):
+                w, u, b = ([T.Tensor(a, requires_grad=True)] for a in p)
+                [out] = T.lstm_layer(x, w, u, b, last_only=True)
+                term = T.total_sum(T.mul(out, T.constant(g)))
+                loss = term if loss is None else T.add(loss, term)
+            loss = T.add(loss, T.total_sum(T.mul(x, T.constant(second))))
+        tape.backward(loss)
+        assert np.array_equal(x_t[0].grad_array, x.grad_array)
+        dxs = [batch_major_lstm(xs[0], *p, self.STEPS, True, g)[1][0] for p, g in zip(params, gs)]
+        assert np.array_equal(x.grad_array, ((second + dxs[2]) + dxs[1]) + dxs[0])
+
+    def test_branch_shapes_must_agree(self):
+        rng = np.random.default_rng(6)
+        xs, params, _ = self.branch_inputs(rng, False, False, True, 2, 2)
+        w, u, b = ([T.Tensor(p[j]) for p in params] for j in range(3))
+        with pytest.raises(T.ShapeError, match="3 inputs for 2 branches"):
+            T.lstm_layer([T.Tensor(a) for a in xs * 2][:3], w, u, b)
+        with pytest.raises(T.ShapeError, match="branch 1's gates"):
+            T.lstm_layer(T.Tensor(xs[0]), w, [u[0], T.Tensor(np.zeros((8, 2)))], b)
+        with pytest.raises(T.ShapeError, match="branch 1's input"):
+            T.lstm_layer([T.Tensor(xs[0]), T.Tensor(xs[1][:, :1])], w, u, b)
 
 
 class TestGradcheckCoverage:
