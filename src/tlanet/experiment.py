@@ -85,6 +85,21 @@ def _features_and_probs(bundle: ckpt.CheckpointBundle, tokens: np.ndarray):
     return feats, probs, recon
 
 
+def _reconstruction_error_per_class(recon: np.ndarray | None, tokens: np.ndarray,
+                                    labels: np.ndarray, num_classes: int) -> dict | None:
+    """Each class's reconstruction error per real step, by label: the summed
+    errors of its examples over the summed lengths; None for a class with no
+    example, and no table for a model without a decoder."""
+    if recon is None:
+        return None
+    steps = M.sequence_lengths(tokens)
+    table = {}
+    for c, name in enumerate(TXT.LABELS[:num_classes]):
+        mine = labels == c
+        table[name] = float(recon[mine].sum() / steps[mine].sum()) if mine.any() else None
+    return table
+
+
 def _report_for(head: W.WisdomNetHead, feats: np.ndarray, labels: np.ndarray,
                 num_classes: int, theta: float, scheme: str = "weighted") -> MET.EvalReport:
     decisions = W.classify_batch(head, feats, theta=theta)
@@ -247,6 +262,8 @@ def run_evaluate(checkpoint_path, dataset_path, out_dir, theta: float | None = N
         "dataset": str(dataset_path),
         "report": report.to_dict(),
         "mean_reconstruction_loss": float(np.mean(recon)) if recon is not None else None,
+        "reconstruction_error_per_class": _reconstruction_error_per_class(
+            recon, tokens, labels, bundle.config.num_classes),
     }
     if sweep:
         grid = [round(0.05 * i, 2) for i in range(21)]

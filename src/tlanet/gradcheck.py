@@ -145,6 +145,10 @@ def ops_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     fd("op.lstm_layer[batch 1]", lambda: _lstm_layers(rng, layers=1, batch=1))
     fd("op.lstm_layer[3 branches]", lambda: _lstm_branches(rng, repeat=False))
     fd("op.lstm_layer[3 branches, repeat vector]", lambda: _lstm_branches(rng, repeat=True))
+    fd("op.lstm_layer[mixed lengths]", lambda: _lstm_layers(rng, layers=2, batch=4, mixed=True))
+    fd("op.lstm_layer[3 branches, repeat vector, mixed lengths]",
+       lambda: _lstm_branches(rng, repeat=True, mixed=True))
+    fd("op.take_rows", lambda: _take_rows(rng))
     return checks
 
 
@@ -203,6 +207,11 @@ def _lookup(rng):
     return [table], lambda: T.total_sum(T.tanh(T.lookup_rows(table, ids, padding_idx=0)))
 
 
+def _take_rows(rng):
+    x = _rand(rng, (4, 3))
+    return [x], lambda: T.total_sum(T.tanh(T.take_rows(x, [2, 0, 3])))
+
+
 def _dropout(rng):
     x = _rand(rng, (3, 4))
     seed = int(rng.integers(2**31))
@@ -210,12 +219,14 @@ def _dropout(rng):
     return [x], lambda: T.total_sum(T.tanh(T.dropout(x, 0.5, draws)))
 
 
-def _lstm_layers(rng, layers: int, repeat: bool = False, last_only: bool = False, batch: int = 2):
+def _lstm_layers(rng, layers: int, repeat: bool = False, last_only: bool = False, batch: int = 2,
+                 mixed: bool = False):
     """A stack of ``lstm_layer`` ops over a (4, batch, 3) sequence or a (batch, 3) repeat vector.
 
     The loss weights every hidden state it reads differently (every step's,
     or the top layer's last one when ``last_only``), and the input is a
     parameter too, so the check covers the gradients of all four operands.
+    ``mixed`` packs the rows at lengths 4, 3, 1, 1, ... .
     """
     steps, width, hidden = 4, 3, 3
     x = T.Tensor(rng.uniform(-1, 1, (batch, width) if repeat else (steps, batch, width)),
@@ -226,28 +237,31 @@ def _lstm_layers(rng, layers: int, repeat: bool = False, last_only: bool = False
         params += [T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
                    for shape in ((4 * hidden, fan_in), (4 * hidden, hidden), (4 * hidden,))]
     c = T.constant(rng.uniform(-1, 1, (batch, hidden) if last_only else (steps, batch, hidden)))
+    lengths = np.array([4, 3] + [1] * (batch - 2)) if mixed else None
 
     def loss_fn():
         h = x
         for k in range(layers):
             w, u, b = params[1 + 3 * k:4 + 3 * k]
             [h] = T.lstm_layer(h, [w], [u], [b], steps=steps if k == 0 else None,
-                               last_only=last_only and k == layers - 1)
+                               last_only=last_only and k == layers - 1, lengths=lengths)
         return T.total_sum(T.mul(h, c))
 
     return params, loss_fn
 
 
-def _lstm_branches(rng, repeat: bool, branches: int = 3):
+def _lstm_branches(rng, repeat: bool, branches: int = 3, mixed: bool = False):
     """Two ``lstm_layer`` ops of three branches each, as TLA-Net's stages run them.
 
     Layer 0 reads one shared input, which is a parameter: a (4, 2, 3)
     sequence whose hidden sequences layer 1 reads per branch, keeping the
     last states; or a (2, 3) repeat vector of which it keeps the last
     states, which layer 1 reads per branch as repeat vectors over 4 steps.
-    The loss weights each branch's outputs differently.
+    The loss weights each branch's outputs differently. ``mixed`` packs
+    three rows at lengths 4, 2 and 1.
     """
-    steps, batch, width, hidden = 4, 2, 3, 3
+    steps, batch, width, hidden = 4, 3 if mixed else 2, 3, 3
+    lengths = np.array([4, 2, 1]) if mixed else None
     x = T.Tensor(rng.uniform(-1, 1, (batch, width) if repeat else (steps, batch, width)),
                  requires_grad=True)
     layers = []
@@ -262,7 +276,7 @@ def _lstm_branches(rng, repeat: bool, branches: int = 3):
         h = x
         for k, layer in enumerate(layers):
             w, u, b = ([p[j] for p in layer] for j in range(3))
-            h = T.lstm_layer(h, w, u, b, steps=steps, last_only=(k == 0) == repeat)
+            h = T.lstm_layer(h, w, u, b, steps=steps, last_only=(k == 0) == repeat, lengths=lengths)
         loss = T.total_sum(T.mul(h[0], cs[0]))
         for hk, c in zip(h[1:], cs[1:]):
             loss = T.add(loss, T.total_sum(T.mul(hk, c)))
@@ -326,7 +340,7 @@ def models_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     target = np.array([1])
     checks = []
 
-    def model_check(model):
+    def model_check(model, tokens=tokens, target=target):
         def loss_fn():
             out = model.forward_batch(tokens, training=False)
             loss = model.training_loss(out, target)
@@ -342,6 +356,11 @@ def models_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     ):
         model = factory()
         checks.append((name, (lambda m=model: model_check(m)), MODEL_TOLERANCE))
+    # comments of three lengths, the longest not first: packed, then put back in order
+    mixed = M.TlaNet(cfg)
+    checks.append(("model.tla_net[mixed lengths]",
+                   lambda: model_check(mixed, np.array([[5, 3, 0], [2, 4, 7], [6, 0, 0]]),
+                                       np.array([0, 1, 2])), MODEL_TOLERANCE))
     return checks
 
 

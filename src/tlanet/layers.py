@@ -149,7 +149,8 @@ def _branch_groups(branches: int, hidden: int, batch: int) -> list[range]:
 
 def lstm_forward(stacks: list[StackedLSTMParams], x: Tensor | list[Tensor], training: bool = False,
                  rng: np.random.Generator | None = None, *, steps: int | None = None,
-                 last_only: bool = False, draws: np.ndarray | None = None) -> list[Tensor]:
+                 last_only: bool = False, draws: np.ndarray | None = None,
+                 lengths: np.ndarray | None = None) -> list[Tensor]:
     """Run K stacks of the same shape side by side over one input or one input each.
 
     ``x`` is a (steps, batch, in) sequence or a (batch, in) repeat vector
@@ -159,6 +160,9 @@ def lstm_forward(stacks: list[StackedLSTMParams], x: Tensor | list[Tensor], trai
     (batch, hidden) when ``last_only``. The stacks run depth by depth:
     each depth is one ``lstm_layer`` op over all K stacks, or over groups of
     them when the layers are wide or the batch large (``SIDE_BY_SIDE_VALUES``).
+    ``lengths`` packs the batch for every layer (see ``T.lstm_layer``): each
+    row runs only its own steps, and the last hidden state is the state at
+    its own length.
 
     Inverted dropout is applied between layers (not after the last), and
     only when ``training`` is true, so inference ignores ``rng``. Its masks
@@ -188,7 +192,7 @@ def lstm_forward(stacks: list[StackedLSTMParams], x: Tensor | list[Tensor], trai
             outs += T.lstm_layer(x if isinstance(x, Tensor) else [x[k] for k in group],
                                  [cells[k].w for k in group], [cells[k].u for k in group],
                                  [cells[k].b for k in group], steps=steps if depth == 0 else None,
-                                 last_only=last_only and depth == top)
+                                 last_only=last_only and depth == top, lengths=lengths)
         x = outs
         if use_dropout and depth < top:
             x = [T.dropout(xk, rate, draws[k, depth]) for k, xk in enumerate(x)]

@@ -10,11 +10,17 @@ activations. The decoders serve the training objective and the
 reconstruction error, so inference stops at the classifier unless the
 reconstruction is asked for.
 
-Token ids arrive batch-first, as an (examples, steps) integer matrix.
-Inside, a sequence is one time-major (steps, examples, width) tensor, each
-LSTM layer is one op over the whole sequence, and the row-wise heads (the
-decoder meta-learner, the reconstruction layer and its loss) run once
-over the sequence flattened to (steps * examples, width) rows. TLA-Net's
+Token ids arrive batch-first, as an (examples, steps) integer matrix whose
+pads (``PAD_ID``) sit on the right. Each comment runs only its real steps,
+as torch's ``pack_padded_sequence`` has it: a forward pass orders its rows
+longest first, trims them to the longest, and every LSTM layer updates at
+step ``t`` only the rows still inside their comment, so a comment's final
+state, its decoding and its reconstruction error do not depend on how many
+pads follow it. The rows return in the caller's order. Inside, a sequence
+is one time-major (steps, examples, width) tensor, each LSTM layer is one
+op over the whole sequence, and the row-wise heads (the decoder
+meta-learner, the reconstruction layer and its loss) run once over the real
+steps' rows, time-major. TLA-Net's
 three branches run side by side: each of its four stages (encoder stage 1
 and 2, decoder stage 1 and 2) is one op per layer for all three, so a
 training pass of a one-layer TLA-Net makes 4 LSTM ops and inference 2.
@@ -31,6 +37,7 @@ from . import layers as L
 from . import optim
 from . import tensor as T
 from .tensor import ShapeError, Tensor
+from .text import PAD_ID
 
 MODEL_KINDS = ("lstm", "bilstm", "lstm-ae", "word2vec-features", "tla-net")
 
@@ -73,8 +80,9 @@ class BatchOutput:
     probs: Tensor  # (batch, classes)
     features: Tensor  # (batch, feature_dim); what a rejection head would read
     recon_loss: Tensor | None = None  # batch-mean reconstruction loss
-    recon_per_example: np.ndarray | None = None
-    reconstruction: Tensor | None = None  # (steps * batch, width) rows, time-major
+    recon_per_example: np.ndarray | None = None  # summed over each example's real steps
+    # one row per real step, time-major over the rows ordered longest first
+    reconstruction: Tensor | None = None
 
 
 class MetaFusion(NamedTuple):
@@ -138,11 +146,64 @@ def _check_tokens(tokens) -> np.ndarray:
     return ids
 
 
-def _check_pass(tokens, training: bool, reconstruct: bool) -> np.ndarray:
+def _check_pass(tokens, training: bool, reconstruct: bool) -> "_Packed":
     if training and not reconstruct:
         raise ValueError("a training pass needs the reconstruction: training=True "
                          "requires reconstruct=True")
-    return _check_tokens(tokens)
+    return _Packed(_check_tokens(tokens))
+
+
+def sequence_lengths(ids: np.ndarray) -> np.ndarray:
+    """Each row's length in steps: up to and including its last id that is not ``PAD_ID``.
+
+    A comment with no real token, such as an empty one, has length 1: it
+    reads one pad step, whose embedding is zero, and that step is the one
+    its reconstruction error covers.
+    """
+    real = np.asarray(ids) != PAD_ID
+    return np.where(real.any(axis=1), real.shape[1] - real[:, ::-1].argmax(axis=1), 1)
+
+
+class _Packed:
+    """A batch as the LSTM layers read it: rows ordered longest first, trimmed to the longest.
+
+    ``lengths`` is None when every row runs all ``steps``; then nothing is
+    packed and the layers run their whole-block path.
+    """
+
+    def __init__(self, ids: np.ndarray):
+        lengths = sequence_lengths(ids)
+        self.order = None  # the caller's row of each row here, when they differ
+        if (lengths[1:] > lengths[:-1]).any():
+            self.order = np.argsort(-lengths, kind="stable")
+            ids, lengths = ids[self.order], lengths[self.order]
+        self.steps = int(lengths[0])
+        self.ids = ids[:, :self.steps]
+        self.lengths = None if lengths[-1] == self.steps else lengths
+        # where the real steps sit among the (steps * batch) time-major rows
+        self.real_rows = None if self.lengths is None else \
+            np.flatnonzero(np.arange(self.steps)[:, None] < self.lengths)
+
+    def reversed_ids(self) -> np.ndarray:
+        """Each row's ids reversed within its own length, pads still on the right."""
+        if self.lengths is None:
+            return self.ids[:, ::-1]
+        t = np.arange(self.steps)
+        last = self.lengths[:, None] - 1
+        return np.take_along_axis(self.ids, np.where(t <= last, last - t, t), axis=1)
+
+    def restore(self, x: Tensor) -> Tensor:
+        """The rows of a (batch, width) tensor in the caller's order."""
+        return x if self.order is None else T.take_rows(x, np.argsort(self.order))
+
+
+def _in_caller_order(a: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """Rows that were taken in ``order`` (row i is the caller's row ``order[i]``), put back."""
+    if order is None:
+        return a
+    out = np.empty_like(a)
+    out[order] = a
+    return out
 
 
 class _SequenceModel:
@@ -174,21 +235,33 @@ class _SequenceModel:
         """The (steps, batch, embed) sequence of a (batch, steps) id matrix."""
         return L.embedding_lookup(self.embedding, ids.T)
 
+    def _real_step_rows(self, seq: Tensor, packed: _Packed) -> Tensor:
+        """The (steps * batch, width) rows of a time-major sequence that are real steps."""
+        steps, batch, width = seq.shape
+        rows = T.reshape(seq, (steps * batch, width))
+        return rows if packed.real_rows is None else T.take_rows(rows, packed.real_rows)
+
     def _classify(self, features: Tensor) -> tuple[Tensor, Tensor]:
         """Class probabilities, and the features the rejection head reads."""
         return L.dense_forward(self.head.weights, self.head.bias, features, "softmax"), features
 
-    def _reconstruct(self, rows: Tensor, embedded: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Reconstruct every embedded step from (steps * batch, hidden) rows.
+    def _reconstruct(self, rows: Tensor, embedded: Tensor,
+                     packed: _Packed) -> tuple[Tensor, Tensor, np.ndarray]:
+        """Reconstruct every real embedded step from its (hidden,) row, time-major.
 
         Returns the reconstruction rows, the batch-mean squared error and its
-        per-example values.
+        per-example values, each summed over the example's real steps only.
         """
         recon = L.dense_forward(self.recon.weights, self.recon.bias, rows)
         steps, batch = embedded.shape[0], embedded.shape[1]
-        diff = T.sub(T.reshape(embedded, recon.shape), recon)
+        real = packed.real_rows
+        target = T.reshape(embedded, (steps * batch, embedded.shape[2]))
+        diff = T.sub(target if real is None else T.take_rows(target, real), recon)
         sq = T.mul(diff, diff)
-        per = sq.array.reshape(steps, batch, -1).sum(axis=(0, 2))
+        if real is None:
+            per = sq.array.reshape(steps, batch, -1).sum(axis=(0, 2))
+        else:
+            per = np.bincount(real % batch, weights=sq.array.sum(axis=1), minlength=batch)
         return recon, T.scale(T.total_sum(sq), 1.0 / batch), per
 
     def losses(self, out: BatchOutput, targets, recon_weight: float = 0.5):
@@ -211,18 +284,24 @@ class _SequenceModel:
         ``reconstruct=True`` the decoders run too and it holds each example's
         reconstruction error (still None for the kinds without a decoder).
         The probabilities and features are the same bits either way.
+
+        The rows are ordered by length, longest first, before they are cut
+        into chunks, so each chunk runs only as many steps as its longest
+        comment; the results come back in the caller's order.
         """
         ids = _check_tokens(tokens)
+        order = np.argsort(-sequence_lengths(ids), kind="stable")
         probs, feats, recons = [], [], []
         for lo in range(0, ids.shape[0], chunk):
-            out = self.forward_batch(ids[lo:lo + chunk], training=False, reconstruct=reconstruct)
-            probs.append(out.probs.array.copy())
-            feats.append(out.features.array.copy())
+            out = self.forward_batch(ids[order[lo:lo + chunk]], training=False,
+                                     reconstruct=reconstruct)
+            probs.append(out.probs.array)
+            feats.append(out.features.array)
             recons.append(out.recon_per_example)
         return (
-            np.concatenate(probs, axis=0),
-            np.concatenate(feats, axis=0),
-            None if recons[0] is None else np.concatenate(recons),
+            _in_caller_order(np.concatenate(probs, axis=0), order),
+            _in_caller_order(np.concatenate(feats, axis=0), order),
+            None if recons[0] is None else _in_caller_order(np.concatenate(recons), order),
         )
 
 
@@ -249,9 +328,10 @@ class LstmClassifier(_SequenceModel):
     def forward_batch(self, tokens, training: bool = False,
                       rng: np.random.Generator | None = None,
                       reconstruct: bool = True) -> BatchOutput:
-        ids = _check_pass(tokens, training, reconstruct)
-        [features] = L.lstm_forward([self.trunk], self._embed(ids), training, rng, last_only=True)
-        return BatchOutput(*self._classify(features))
+        p = _check_pass(tokens, training, reconstruct)
+        [features] = L.lstm_forward([self.trunk], self._embed(p.ids), training, rng, last_only=True,
+                                    lengths=p.lengths)
+        return BatchOutput(*self._classify(p.restore(features)))
 
 
 class BiLstmClassifier(_SequenceModel):
@@ -280,12 +360,14 @@ class BiLstmClassifier(_SequenceModel):
     def forward_batch(self, tokens, training: bool = False,
                       rng: np.random.Generator | None = None,
                       reconstruct: bool = True) -> BatchOutput:
-        ids = _check_pass(tokens, training, reconstruct)
+        p = _check_pass(tokens, training, reconstruct)
         # classify from the final state of each direction: both have read
-        # the whole sequence; the backward one reads the reversed ids
-        [fwd] = L.lstm_forward([self.fwd], self._embed(ids), training, rng, last_only=True)
-        [bwd] = L.lstm_forward([self.bwd], self._embed(ids[:, ::-1]), training, rng, last_only=True)
-        return BatchOutput(*self._classify(T.concat([fwd, bwd], axis=1)))
+        # the whole comment; the backward one reads it reversed
+        [fwd] = L.lstm_forward([self.fwd], self._embed(p.ids), training, rng, last_only=True,
+                               lengths=p.lengths)
+        [bwd] = L.lstm_forward([self.bwd], self._embed(p.reversed_ids()), training, rng,
+                               last_only=True, lengths=p.lengths)
+        return BatchOutput(*self._classify(p.restore(T.concat([fwd, bwd], axis=1))))
 
 
 class LstmAutoencoder(_SequenceModel):
@@ -316,16 +398,17 @@ class LstmAutoencoder(_SequenceModel):
     def forward_batch(self, tokens, training: bool = False,
                       rng: np.random.Generator | None = None,
                       reconstruct: bool = True) -> BatchOutput:
-        ids = _check_pass(tokens, training, reconstruct)
-        seq = self._embed(ids)
-        steps = ids.shape[1]
-        [encoded] = L.lstm_forward([self.encoder], seq, training, rng, last_only=True)
+        p = _check_pass(tokens, training, reconstruct)
+        seq = self._embed(p.ids)
+        [encoded] = L.lstm_forward([self.encoder], seq, training, rng, last_only=True,
+                                   lengths=p.lengths)
         if not reconstruct:
-            return BatchOutput(*self._classify(encoded))
-        [decoded] = L.lstm_forward([self.decoder], encoded, training, rng, steps=steps)
-        rows = T.reshape(decoded, (steps * ids.shape[0], decoded.shape[2]))
-        recon, recon_loss, per = self._reconstruct(rows, seq)
-        return BatchOutput(*self._classify(encoded), recon_loss, per, recon)
+            return BatchOutput(*self._classify(p.restore(encoded)))
+        [decoded] = L.lstm_forward([self.decoder], encoded, training, rng, steps=p.steps,
+                                   lengths=p.lengths)
+        recon, recon_loss, per = self._reconstruct(self._real_step_rows(decoded, p), seq, p)
+        return BatchOutput(*self._classify(p.restore(encoded)), recon_loss,
+                           _in_caller_order(per, p.order), recon)
 
 
 class TlaNet(_SequenceModel):
@@ -389,23 +472,26 @@ class TlaNet(_SequenceModel):
         u = rng.random((3, 2, cfg.num_layers - 1, steps, batch, cfg.hidden_size))
         return u[:, 0], u[:, 1]
 
-    def _encode(self, seq: Tensor, training, rng) -> list[Tensor]:
+    def _encode(self, seq: Tensor, training, rng, lengths: np.ndarray | None = None) -> list[Tensor]:
         """The three encodings: every stage 1 reads the sequence, and each stage 2
-        reads its own stage 1's final state at every step."""
+        reads its own stage 1's final state at every step of the row's length."""
         steps = seq.shape[0]
         draws1, draws2 = self._dropout_draws(training, rng, steps, seq.shape[1])
-        s1 = L.lstm_forward(self.enc_stage1, seq, training, rng, last_only=True, draws=draws1)
+        s1 = L.lstm_forward(self.enc_stage1, seq, training, rng, last_only=True, draws=draws1,
+                            lengths=lengths)
         return L.lstm_forward(self.enc_stage2, s1, training, rng, steps=steps, last_only=True,
-                              draws=draws2)
+                              draws=draws2, lengths=lengths)
 
-    def _decode(self, fused: Tensor, steps: int, training, rng) -> list[Tensor]:
-        """Both stages of the three decoders read a repeat vector; returns each
-        stage 2's (steps * batch, hidden) rows."""
+    def _decode(self, fused: Tensor, packed: _Packed, training, rng) -> list[Tensor]:
+        """Both stages of the three decoders read a repeat vector for each row's
+        length; returns each stage 2's rows of the real steps."""
+        steps = packed.steps
         draws1, draws2 = self._dropout_draws(training, rng, steps, fused.shape[0])
         d1 = L.lstm_forward(self.dec_stage1, fused, training, rng, steps=steps, last_only=True,
-                            draws=draws1)
-        d2 = L.lstm_forward(self.dec_stage2, d1, training, rng, steps=steps, draws=draws2)
-        return [T.reshape(d, (steps * d.shape[1], d.shape[2])) for d in d2]
+                            draws=draws1, lengths=packed.lengths)
+        d2 = L.lstm_forward(self.dec_stage2, d1, training, rng, steps=steps, draws=draws2,
+                            lengths=packed.lengths)
+        return [self._real_step_rows(d, packed) for d in d2]
 
     def _classify(self, fused: Tensor) -> tuple[Tensor, Tensor]:
         """Class probabilities, and the penultimate activations the rejection head reads."""
@@ -417,20 +503,20 @@ class TlaNet(_SequenceModel):
     def forward_batch(self, tokens, training: bool = False,
                       rng: np.random.Generator | None = None,
                       reconstruct: bool = True) -> BatchOutput:
-        ids = _check_pass(tokens, training, reconstruct)
-        seq = self._embed(ids)
-        steps = ids.shape[1]
+        p = _check_pass(tokens, training, reconstruct)
+        seq = self._embed(p.ids)
 
-        fusion = meta_learner_combine(self.enc_meta, self._encode(seq, training, rng))
+        fusion = meta_learner_combine(self.enc_meta, self._encode(seq, training, rng, p.lengths))
         if not reconstruct:
-            return BatchOutput(*self._classify(fusion.fused))
+            return BatchOutput(*self._classify(p.restore(fusion.fused)))
 
-        decoded = self._decode(fusion.fused, steps, training, rng)
+        decoded = self._decode(fusion.fused, p, training, rng)
         fused_rows = meta_learner_combine(self.dec_meta, decoded).fused
-        recon, recon_loss, per = self._reconstruct(fused_rows, seq)
+        recon, recon_loss, per = self._reconstruct(fused_rows, seq, p)
         # the head is recorded after the decoders, which fixes the order in
         # which the tape sums fusion.fused's adjoints
-        return BatchOutput(*self._classify(fusion.fused), recon_loss, per, recon)
+        return BatchOutput(*self._classify(p.restore(fusion.fused)), recon_loss,
+                           _in_caller_order(per, p.order), recon)
 
 
 def build_model(kind: str, cfg: ClassifierConfig) -> _SequenceModel:
@@ -468,6 +554,7 @@ def fit(model: _SequenceModel, optimizer, tokens, labels, epochs: int, batch_siz
 
     Shuffling and dropout draw from a generator derived from (seed, epoch),
     so a resumed run replays exactly the same stream as an uninterrupted one.
+    Each batch runs as many steps as its longest comment (``forward_batch``).
     """
     ids = _check_tokens(tokens)
     y = np.asarray(labels, dtype=np.int64)

@@ -15,8 +15,9 @@ of a part) and ``lstm_layer``'s repeat vector (one input read at every
 step). Every other op requires exact shape agreement, which keeps each
 backward rule small enough to audit by eye. ``lstm_layer`` is the one
 composite op: K LSTM layers of the same shape run side by side over a
-sequence, with their backpropagation through time written out by hand and
-checked by ``tla gradcheck``. It is also the one op with several outputs,
+sequence, optionally packed so that each row runs only its own length, with
+their backpropagation through time written out by hand and checked by
+``tla gradcheck``. It is also the one op with several outputs,
 one per branch, recorded as a single tape record.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,6 +53,7 @@ __all__ = [
     "take_per_row",
     "clip_log",
     "lookup_rows",
+    "take_rows",
     "dropout",
     "lstm_layer",
     "backward",
@@ -463,6 +466,27 @@ def clip_log(x: Tensor, floor: float = 1e-12) -> Tensor:
     return _emit(out, x.shape, (x,), rule)
 
 
+def take_rows(x: Tensor, rows) -> Tensor:
+    """``x[rows]`` for a rank-2 tensor and distinct row indices; backward puts each row's adjoint back.
+
+    With every index at most once, the backward pass assigns instead of
+    accumulating, which ``lookup_rows``'s repeated ids need.
+    """
+    idx = np.asarray(rows, dtype=np.int64)
+    if len(x.shape) != 2 or idx.ndim != 1:
+        raise ShapeError(f"take_rows: rows of rank {idx.ndim} from a tensor of shape {x.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]
+                     or np.bincount(idx, minlength=x.shape[0]).max() > 1):
+        raise IndexError(f"take_rows: row indices must be distinct and below {x.shape[0]}")
+
+    def rule(g, shape=x.shape, idx=idx):
+        gx = np.zeros(shape)
+        gx[idx] = g
+        return (gx,)
+
+    return _emit(x.array[idx], (idx.size, x.shape[1]), (x,), rule)
+
+
 def lookup_rows(table: Tensor, ids, padding_idx: int | None = None) -> Tensor:
     """Gather rows ``table[ids]`` for an id array of any rank; backward scatter-adds into exactly those rows.
 
@@ -512,8 +536,9 @@ BPTT_BLOCK_VALUES = 8192
 
 
 def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: list[Tensor],
-               steps: int | None = None, last_only: bool = False) -> list[Tensor]:
-    """K LSTM layers of the same shape run side by side, recorded as a single op.
+               steps: int | None = None, last_only: bool = False,
+               lengths: np.ndarray | None = None) -> list[Tensor]:
+    """K LSTM layers of the same shape run side by side over packed sequences, recorded as a single op.
 
     Branch ``k`` has its own packed gates: ``w[k]`` (4H, in), ``u[k]``
     (4H, H) and ``b[k]`` (4H,) hold the input, forget, output and
@@ -524,6 +549,16 @@ def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: li
     one of ``steps`` steps reads. The state starts at zero. Returns the K
     branches' hidden sequences (steps, batch, H), or only their last hidden
     states (batch, H) when ``last_only``. A single layer is the case K = 1.
+
+    ``lengths`` packs the batch, with the semantics of torch's
+    ``pack_padded_sequence``: row ``r`` is a sequence of ``lengths[r]``
+    steps, the rows are ordered longest first and the longest runs all
+    ``steps``. Step ``t`` updates only the prefix of rows whose sequence
+    is longer than ``t``. A row that has ended keeps its ``h`` and ``c``,
+    because nothing writes them: ``last_only`` gives each row's state at
+    its own last step, and a hidden sequence is zero past a row's length.
+    No work is done on the steps past a row's length. Without ``lengths``,
+    or when every row runs all steps, every step is the whole block.
 
     Inside, the layer is feature-major and gate-major. A step's gates for
     all branches are one (4, K, H, batch) block ``z``: the sigmoid of the
@@ -540,20 +575,26 @@ def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: li
     did, so outputs and gradients are bitwise the same at every batch up to
     192 and every multiple of 8 (OpenBLAS 0.3.31 on an AVX-512 Xeon); at
     other batch sizes some products take another kernel and agree to a few
-    ulps.
+    ulps. A step on the first m rows only runs on contiguous (4, K, H, m)
+    blocks, with the bias folded into the input projection, so its gates
+    agree with a whole-block step's to a few ulps.
 
     Backward is backpropagation through time over the activated gates and
     cells, kept only when a tape records the call; ``tanh`` of each cell is
     recomputed from the kept cell, which gives the same bits. The factors
     that do not depend on the adjoint are formed for blocks of steps
-    (``BPTT_BLOCK_VALUES``). Each step's gate adjoints are formed in one
-    (K, 4, H, batch) block and copied into each branch's batch-major rows,
-    which give the next ``dh`` and, after the loop, the weight gradients
-    summed over steps and batch rows in batch-major order. A shared input
-    appears once per branch among the record's inputs, last branch first,
-    so the tape sums its gradient as it summed K single-branch ops
-    recorded in branch order. The rule reads ``w`` and ``u`` by reference,
-    which holds because parameters change only after backward.
+    (``BPTT_BLOCK_VALUES``): for the whole-block steps over their kept
+    blocks, and for the steps on fewer rows over their packed runs. Each
+    step's gate adjoints are formed in one (K, 4, H, rows) block and copied
+    into each branch's batch-major rows, which give the next ``dh`` and,
+    after the loop, the weight gradients summed over steps and batch rows in
+    batch-major order; the rows of ended sequences are zero there. A row's
+    output adjoint enters at the steps it covers: every step of its
+    sequence, or its own last step with ``last_only``. A shared input
+    appears once per branch among the record's inputs, last branch first, so
+    the tape sums its gradient as it summed K single-branch ops recorded in
+    branch order. The rule reads ``w`` and ``u`` by reference, which holds
+    because parameters change only after backward.
     """
     branches = len(w)
     if branches == 0 or len(u) != branches or len(b) != branches:
@@ -595,9 +636,19 @@ def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: li
     n = branches
     batch, width = x_shape[-2], x_shape[-1]
     h4 = 4 * hidden
+    active = None  # rows still inside their sequence at each step, when a row ends early
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (batch,):
+            raise ShapeError(f"lstm_layer: {lengths.shape} lengths for a batch of {batch}")
+        if batch and lengths[-1] != steps:
+            if lengths[0] != steps or lengths[-1] < 1 or (lengths[1:] > lengths[:-1]).any():
+                raise ValueError(f"lstm_layer: lengths must run from {steps} steps down to at "
+                                 f"least 1, longest first, got {lengths.tolist()}")
+            active = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # lengths above t
     xvs = [t.array for t in xs]
     wvs = [t.array for t in w]
-    uv = np.array([t.array for t in u])  # (K, 4H, H)
+    uv = u0.array[None] if n == 1 else np.array([t.array for t in u])  # (K, 4H, H)
     if repeat:  # (K, 4H, batch), read gate-major
         xw = np.empty((n, h4, batch))
         for k in range(n):
@@ -610,20 +661,49 @@ def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: li
         xw_gm = xw.reshape(n, steps, batch, 4, hidden).transpose(1, 3, 0, 4, 2)
     # a tile adds in one contiguous pass, a column does not
     bias = np.empty((4, n, hidden, batch))
-    bias[...] = np.array([t.array for t in b]).reshape(n, 4, hidden, 1).transpose(1, 0, 2, 3)
+    if n == 1:
+        bias[...] = b0.array.reshape(4, 1, hidden, 1)
+    else:
+        bias[...] = np.array([t.array for t in b]).reshape(n, 4, hidden, 1).transpose(1, 0, 2, 3)
     inputs = (*reversed(xs), *(t for k in range(n) for t in (w[k], u[k], b[k])))
     tape = _recording_tape(inputs)
     keep = tape is not None
+    # steps before `full` run on every row; step t from `full` on runs on the
+    # first active[t] rows only, on contiguous blocks of that many columns, as
+    # ufuncs on the leading columns of a wider block (or on any strided view)
+    # take several times as long. Under a tape those steps are kept packed,
+    # step after step, one run per gate, so that the backward pass reads them
+    # contiguously too.
+    full = steps if active is None else int(lengths[-1])
     if keep or not last_only:
         hs = np.zeros((n, steps + 1, batch, hidden))  # hs[k, t] is branch k's state before step t
     if keep:
-        gates = np.empty((steps, 4, n, hidden, batch))  # activated i, f, o, candidate
-        cs = np.zeros((steps + 1, n, hidden, batch))  # cs[t] is the cell before step t
+        gates = np.empty((full, 4, n, hidden, batch))  # activated i, f, o, candidate
+        cs = np.zeros((full + 1, n, hidden, batch))  # cs[t] is the cell before step t
     if n > 1:  # the recurrent products u[k] @ h[k], branch-major
         rec = np.empty((n, h4, batch))
         rec_gm = rec.reshape(n, 4, hidden, batch).transpose(1, 0, 2, 3)
     if not keep:
         z = np.empty((4, n, hidden, batch))
+    if active is not None:
+        offs = [0, *accumulate(m * n * hidden for m in active[full:])]
+        widest = offs[1]  # the values of one gate of the first such step
+        # their bias is folded into the input projection once
+        bs = b0.array[None] if n == 1 else np.array([t.array for t in b])  # (K, 4H)
+        if repeat:
+            xwb_gm = (xw + bs[:, :, None]).reshape(n, 4, hidden, batch).transpose(1, 0, 2, 3)
+        else:
+            xwb = (xw[:, full * batch:] + bs[:, None, :]).reshape(n, steps - full, batch, 4, hidden)
+            xwb_gm = xwb.transpose(1, 3, 0, 4, 2)
+        z_part, tc_part = np.empty(4 * widest), np.empty(widest)
+        if n > 1:
+            rec_part = np.empty(4 * widest)
+        if keep:
+            p_gates = np.empty((4, offs[-1]))  # activated i, f, o, candidate
+            p_prev = np.empty(offs[-1])  # the cell before the step, on its rows
+            p_cells = np.empty(offs[-1])  # the cell after the step
+        else:
+            c_parts = (np.empty(widest), np.empty(widest))
     h = np.zeros((n, batch, hidden))
     h_t = h.transpose(0, 2, 1)  # the (K, H, batch) view the products read and the step writes
     if keep or not last_only:
@@ -631,30 +711,56 @@ def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: li
     c = np.zeros((n, hidden, batch))
     tc = np.empty((n, hidden, batch))  # tanh of the cell, recomputed by the backward pass
     for t in range(steps):
-        if keep:
-            z = gates[t]
-        xw_t = xw_gm if repeat else xw_gm[t]
-        if n == 1:  # one branch's gate-major block is its product's layout: add in place
-            np.matmul(uv, h_t, out=z.reshape(1, h4, batch))
-            z += xw_t
-        else:
-            np.matmul(uv, h_t, out=rec)
-            np.add(rec_gm, xw_t, out=z)
-        z += bias
-        sig = z[:3]  # sigmoid as 1 / (1 + exp(-v)), in place
+        h_in = h_t
+        if keep or not last_only:
+            h, h_t = hs[:, t + 1], hs_t[:, t + 1]
+        if t < full:  # every row is inside its sequence: the whole block
+            if keep:
+                z = gates[t]
+            xw_t = xw_gm if repeat else xw_gm[t]
+            if n == 1:  # one branch's gate-major block is its product's layout: add in place
+                np.matmul(uv, h_in, out=z.reshape(1, h4, batch))
+                z += xw_t
+            else:
+                np.matmul(uv, h_in, out=rec)
+                np.add(rec_gm, xw_t, out=z)
+            z += bias
+            zm, c_in, tc_m, h_out = z, c, tc, h_t
+            c_out = cs[t + 1] if keep else c
+        else:  # the rows from m on have ended
+            m = active[t]
+            lo, hi = offs[t - full], offs[t - full + 1]
+            zm = z_part[:4 * (hi - lo)].reshape(4, n, hidden, m)
+            if keep:
+                c_in = p_prev[lo:hi].reshape(n, hidden, m)
+                np.copyto(c_in, c[..., :m])
+                c_out = p_cells[lo:hi].reshape(n, hidden, m)
+            else:
+                c_in, c_out = c[..., :m], c_parts[t % 2][:hi - lo].reshape(n, hidden, m)
+            xwb_t = (xwb_gm if repeat else xwb_gm[t - full])[..., :m]
+            if n == 1:  # as in a whole-block step, the product lands in the gate block
+                np.matmul(uv, h_in[..., :m], out=zm.reshape(1, h4, m))
+                zm += xwb_t
+            else:
+                rec_m = rec_part[:4 * (hi - lo)].reshape(n, h4, m)
+                np.matmul(uv, h_in[..., :m], out=rec_m)
+                np.add(rec_m.reshape(n, 4, hidden, m).transpose(1, 0, 2, 3), xwb_t, out=zm)
+            tc_m, h_out = tc_part[:hi - lo].reshape(n, hidden, m), h_t[..., :m]
+        sig = zm[:3]  # sigmoid as 1 / (1 + exp(-v)), in place
         np.negative(sig, out=sig)
         np.exp(sig, out=sig)
         sig += 1.0
         np.divide(1.0, sig, out=sig)
-        np.tanh(z[3], out=z[3])
-        c_new = cs[t + 1] if keep else c
-        np.multiply(z[1], c, out=c_new)
-        c_new += z[0] * z[3]
-        c = c_new
-        np.tanh(c, out=tc)
-        if keep or not last_only:
-            h, h_t = hs[:, t + 1], hs_t[:, t + 1]
-        np.multiply(z[2], tc, out=h_t)
+        np.tanh(zm[3], out=zm[3])
+        np.multiply(zm[1], c_in, out=c_out)
+        c_out += zm[0] * zm[3]
+        c = c_out
+        np.tanh(c_out, out=tc_m)
+        np.multiply(zm[2], tc_m, out=h_out)
+        if keep and t >= full:
+            np.copyto(p_gates[:, lo:hi], zm.reshape(4, hi - lo))
+    if last_only and keep and active is not None:  # each row's state at its own last step
+        h = hs[:, lengths, np.arange(batch)]
     outs = [h[k] for k in range(n)] if last_only else [hs[k, 1:] for k in range(n)]
 
     def rule(gs):
@@ -663,20 +769,61 @@ def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: li
             if gk is not None:
                 g[k] = gk
         g_t = g.transpose(0, 2, 1) if last_only else g.transpose(0, 1, 3, 2)
+        dz = np.empty((n, steps, batch, h4))  # all gate adjoints, batch-major per branch
+        dz_t = dz.transpose(0, 1, 3, 2)
+        # dh and dc are as wide as the rows the step runs on, the last step first
+        dh = np.zeros((n, hidden, batch if active is None else active[-1]))
+        dc = np.zeros(dh.shape)
+        ut = uv.transpose(0, 2, 1)
+        if active is not None:  # the packed steps, last first, a block of steps at a time
+            d_part = np.empty(4 * widest)
+            kg_part = np.empty((4, min(offs[-1], max(BPTT_BLOCK_VALUES, widest))))
+            kg_part[2] = 0.0
+            hi = steps
+            while hi > full:
+                lo = hi - 1
+                while lo > full and offs[hi - full] - offs[lo - 1 - full] <= kg_part.shape[1]:
+                    lo -= 1
+                base, top = offs[lo - full], offs[hi - full]
+                i, f, o, cand = p_gates[:, base:top]
+                tcs = np.tanh(p_cells[base:top])
+                k_o = tcs * o * (1.0 - o)
+                k_c = o * (1.0 - tcs * tcs)
+                kg = kg_part[:, :top - base]
+                kg[0] = cand * i * (1.0 - i)
+                kg[1] = p_prev[base:top] * f * (1.0 - f)
+                kg[3] = i * (1.0 - cand * cand)
+                for t in range(hi - 1, lo - 1, -1):
+                    m = active[t]
+                    a, e = offs[t - full] - base, offs[t - full + 1] - base
+                    if not last_only:
+                        dh += g_t[:, t, :, :m]
+                    else:  # the rows that end at this step
+                        ended = active[t + 1] if t + 1 < steps else 0
+                        dh[..., ended:] += g_t[..., ended:m]
+                    dc += dh * k_c[a:e].reshape(n, hidden, m)
+                    d = d_part[:4 * (e - a)].reshape(n, 4, hidden, m)
+                    np.multiply(dc[:, None], kg[:, a:e].reshape(4, n, hidden, m).transpose(1, 0, 2, 3),
+                                out=d)
+                    np.multiply(dh, k_o[a:e].reshape(n, hidden, m), out=d[:, 2])
+                    np.copyto(dz[:, t, :m], d.reshape(n, h4, m).transpose(0, 2, 1))
+                    dz[:, t, m:] = 0.0
+                    # widened with zeros to the rows of the step before
+                    wide = (n, hidden, active[t - 1])
+                    dc_prev, dh = np.zeros(wide), np.zeros(wide)
+                    np.multiply(dc, f[a:e].reshape(n, hidden, m), out=dc_prev[..., :m])
+                    np.matmul(ut, dz_t[:, t, :, :m], out=dh[..., :m])
+                    dc = dc_prev
+                hi = lo
         d = np.empty((n, 4, hidden, batch))  # one step's gate adjoints, branch-major
         d_rows = d.reshape(n, h4, batch).transpose(0, 2, 1)
-        dz = np.empty((n, steps, batch, h4))  # all of them, batch-major per branch
-        dz_t = dz.transpose(0, 1, 3, 2)
-        dh = np.zeros((n, hidden, batch))
-        dc = np.zeros((n, hidden, batch))
         dc_gates = dc[:, None]
-        ut = uv.transpose(0, 2, 1)
         # the factors that do not depend on the adjoint, a block of steps at a
         # time: d_o = dh * k_o, dc += dh * k_c and (d_i, d_f, d_cand) = dc * k_gates
         block = max(1, BPTT_BLOCK_VALUES // (n * hidden * batch))
-        k_gates = np.empty((min(block, steps), n, 4, hidden, batch))
+        k_gates = np.empty((min(block, full), n, 4, hidden, batch))
         k_gates[:, :, 2] = 0.0
-        for hi in range(steps, 0, -block):
+        for hi in range(full, 0, -block):
             lo = max(0, hi - block)
             i, f, o, cand = (gates[lo:hi, q] for q in range(4))
             tcs = np.tanh(cs[lo + 1:hi + 1])  # recomputed, not kept: the same bits from the same cells
@@ -692,6 +839,8 @@ def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: li
                     dh = dh + g_t[:, t]
                 elif t == steps - 1:
                     dh = dh + g_t
+                elif t == full - 1:  # the rows that end at this step
+                    dh[..., active[full]:] += g_t[..., active[full]:]
                 dc += dh * k_c[j]
                 np.multiply(dc_gates, kg[j], out=d)
                 np.multiply(dh, k_o[j], out=d[:, 2])

@@ -17,6 +17,7 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -122,11 +123,9 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def encode_token(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def encode(self, tokens: list[str]) -> list[int]:
-        return [self.encode_token(t) for t in tokens]
+        """Each token's id, UNK for a token outside the vocabulary."""
+        return list(map(self.token_to_id.get, tokens, repeat(UNK_ID, len(tokens))))
 
     def decode(self, ids) -> list[str]:
         return [self.id_to_token[int(i)] for i in ids]
@@ -168,8 +167,21 @@ def encode_and_pad(vocab: Vocabulary, tokens: list[str], max_len: int) -> list[i
 
 
 def pad_id_lists(id_lists, max_len: int) -> np.ndarray:
-    """(examples, max_len) matrix of id lists, each passed through ``pad_ids``, read once in order."""
-    return np.asarray([pad_ids(ids, max_len) for ids in id_lists], dtype=np.int64)
+    """(examples, max_len) matrix of id lists, each passed through ``pad_ids``, read once in order.
+
+    The kept ids fill a preallocated PAD matrix in one pass, row after row,
+    from a flat run of them and the row lengths.
+    """
+    kept = [ids[:max_len] for ids in id_lists]
+    if not kept:
+        return np.asarray([], dtype=np.int64)
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
+    out = np.full((len(kept), max_len), PAD_ID, dtype=np.int64)
+    out[np.arange(max_len) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(kept), dtype=np.int64, count=int(lengths.sum()))
+    return out
 
 
 def encode_token_lists(vocab: Vocabulary, token_lists, max_len: int) -> np.ndarray:

@@ -199,7 +199,12 @@ class TestFormatVersions:
 
 
 class TestV1Checkpoint:
-    """A TLA-Net checkpoint written by the per-gate (v1) code, and its predictions then."""
+    """A TLA-Net checkpoint written by the per-gate (v1) code, and its predictions.
+
+    The predictions of the two token rows that end in pads were recorded
+    again when each comment came to run only its real steps; the full-length
+    row's are those the v1 code made.
+    """
 
     def expected(self):
         return json.loads((FIXTURES / "tla_net_v1.json").read_text())

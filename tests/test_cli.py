@@ -53,7 +53,8 @@ def tiny_checkpoint(path, kind="lstm"):
         model = Word2VecModel.init(vocab.size, 4, counts, negatives=2, seed=1)
     else:
         model = M.build_model(kind, cfg)
-    head = W.WisdomNetHead(T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros(3)), 0.5)
+    width = 4 if kind == "word2vec-features" else model.feature_dim
+    head = W.WisdomNetHead(T.Tensor(np.zeros((3, width))), T.Tensor(np.zeros(3)), 0.5)
     CK.save_checkpoint(path, kind, cfg, vocab, model, head, extras={"epochs_trained": 1})
     return path
 
@@ -415,6 +416,42 @@ class TestEvaluateCommand:
         tokens, _ = TXT.encode_dataset(bundle.vocab, split.examples, bundle.config.max_len)
         _, _, recon = bundle.model.predict_batch(tokens, reconstruct=True)
         assert payload["mean_reconstruction_loss"] == float(np.mean(recon)) > 0.0
+
+    @pytest.mark.parametrize("kind", ["lstm", "bilstm", "lstm-ae", "tla-net"])
+    def test_reconstruction_error_per_class_recounted(self, tmp_path, kind):
+        from tlanet.synthetic import builtin_dataset_path
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac", kind)
+        out = tmp_path / "eval"
+        assert cli.main(["evaluate", "--checkpoint", str(ckpt),
+                         "--dataset", "builtin:synthetic-test", "--out", str(out)]) == 0
+        table = json.loads((out / "report.json").read_text())["reconstruction_error_per_class"]
+        if kind in ("lstm", "bilstm"):
+            assert table is None
+            return
+        bundle = CK.load_checkpoint(ckpt)
+        split = TXT.load_trac2(builtin_dataset_path("synthetic-test"))
+        tokens, labels = TXT.encode_dataset(bundle.vocab, split.examples, bundle.config.max_len)
+        _, _, recon = bundle.model.predict_batch(tokens, reconstruct=True)
+        assert sorted(table) == sorted(TXT.LABELS)
+        for c, name in enumerate(TXT.LABELS):
+            rows = [r for r in range(len(labels)) if labels[r] == c]
+            real_steps = sum(int((tokens[r] != TXT.PAD_ID).sum()) for r in rows)
+            assert abs(table[name] - sum(recon[r] for r in rows) / real_steps) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["lstm", "bilstm", "lstm-ae", "tla-net"])
+    def test_comment_without_tokens_evaluates(self, tmp_path, kind):
+        # an empty comment and one of punctuation only: all pads, read as one pad step
+        data = tmp_path / "empty.csv"
+        data.write_text("id,text,label\n1,,NAG\n2,!!! ...,OAG\n3,alpha beta,CAG\n",
+                        encoding="utf-8")
+        out = tmp_path / "eval"
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac", kind)
+        assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(data),
+                         "--theta", "0.0", "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["report"]["total_count"] == 3
+        if kind in ("lstm-ae", "tla-net"):  # each class's error is over at least one step
+            assert all(np.isfinite(v) for v in payload["reconstruction_error_per_class"].values())
 
     def test_word2vec_checkpoint_evaluates(self, tmp_path):
         from tlanet.synthetic import builtin_dataset_path

@@ -1,14 +1,21 @@
 """Model-level behavior: the classifiers, the meta-learner, and the training loop."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from tlanet import layers as L
 from tlanet import models as M
 from tlanet import optim
 from tlanet import tensor as T
 from tlanet import text as TXT
 from tlanet.gradcheck import check_gradients
 from tlanet.synthetic import synthetic_examples
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def small_config(**overrides):
@@ -336,3 +343,139 @@ class TestTraining:
         assert accepted in (0, 1, 2)
         [refused] = W.classify_batch(head, feats, theta=1.0)
         assert W.is_rejected(refused)
+
+
+KINDS = ("lstm", "bilstm", "lstm-ae", "tla-net")
+
+
+class TestPaddingInvariance:
+    """Each comment runs only its real steps: the pads after it change nothing."""
+
+    def comments(self):
+        exs = synthetic_examples("test")
+        vocab = TXT.build_vocab((TXT.tokenize(e.text) for e in synthetic_examples("train")), 200, 1)
+        return [vocab.encode(TXT.tokenize(e.text)) for e in exs], vocab.size
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unpadded_padded_to_12_and_to_40_agree(self, kind):
+        id_lists, vocab_size = self.comments()
+        model = M.build_model(kind, small_config(vocab_size=vocab_size, num_layers=2, max_len=40,
+                                                 seed=4))
+        alone = [model.predict_batch([ids], reconstruct=True) for ids in id_lists]
+        for width in (12, 40):
+            batch = model.predict_batch(TXT.pad_id_lists(id_lists, width), chunk=8,
+                                        reconstruct=True)
+            for got, want in zip(batch, zip(*alone)):
+                if got is None:
+                    assert want[0] is None
+                    continue
+                assert np.abs(got - np.concatenate(want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_loss_and_gradients_ignore_pads(self, kind):
+        id_lists, vocab_size = self.comments()
+        id_lists, labels = id_lists[:6], np.array([0, 1, 2, 0, 1, 2])
+        model = M.build_model(kind, small_config(vocab_size=vocab_size, dropout=0.0, seed=5))
+        params = [t for _, t in model.named_tensors()]
+
+        def loss_and_grads(width):
+            for t in params:
+                t.zero_grad()
+            with T.Tape() as tape:
+                out = model.forward_batch(TXT.pad_id_lists(id_lists, width), training=True)
+                total = model.losses(out, labels)[0]
+            tape.backward(total)
+            return total.item(), [t.grad.copy() for t in params]
+
+        loss12, grads12 = loss_and_grads(12)
+        loss40, grads40 = loss_and_grads(40)
+        assert loss12 == loss40
+        for a, b in zip(grads12, grads40):
+            assert np.array_equal(a, b)
+
+    def test_bilstm_reads_each_comment_reversed_within_its_length(self):
+        model = M.BiLstmClassifier(small_config(seed=11))
+        ids = np.array([[2, 7, 3, 0, 0], [4, 5, 6, 8, 9]])
+        features = model.forward_batch(ids).features.array
+        for r, n in enumerate((3, 5)):
+            reversed_seq = model._embed(ids[r:r + 1, n - 1::-1])
+            [bwd] = L.lstm_forward([model.bwd], reversed_seq, last_only=True)
+            assert np.abs(features[r, 4:] - bwd.array[0]).max() <= 1e-15
+
+    def test_rows_return_in_the_callers_order(self):
+        model = M.TlaNet(small_config(seed=12))
+        tokens = np.array([[2, 0, 0, 0], [5, 6, 7, 8], [9, 1, 0, 0], [3, 4, 5, 0]])
+        probs, feats, recon = model.predict_batch(tokens, chunk=3, reconstruct=True)
+        out = model.forward_batch(tokens)
+        assert np.abs(out.probs.array - probs).max() <= 1e-15
+        assert np.abs(out.recon_per_example - recon).max() <= 1e-15
+        for r in range(4):
+            p1, f1, rec1 = model.predict_batch(tokens[r:r + 1], reconstruct=True)
+            assert np.abs(probs[r] - p1[0]).max() <= 1e-14
+            assert np.abs(feats[r] - f1[0]).max() <= 1e-14
+            assert np.abs(recon[r] - rec1[0]).max() <= 1e-14
+
+
+class TestZeroLengthComments:
+    """A comment with no real token reads one pad step (length 1)."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_predict_and_fit(self, kind):
+        model = M.build_model(kind, small_config(num_layers=2, dropout=0.2))
+        tokens = np.array([[0, 0, 0, 0], [2, 3, 0, 0], [0, 0, 0, 0]])
+        probs, feats, recon = model.predict_batch(tokens, reconstruct=True)
+        one_pad, _, one_recon = model.predict_batch([[0]], reconstruct=True)
+        assert np.isfinite(probs).all() and np.isfinite(feats).all()
+        assert np.array_equal(probs[0], probs[2])
+        assert np.abs(probs[0] - one_pad[0]).max() <= 1e-15
+        if recon is not None:
+            assert np.abs(recon[0] - one_recon[0]).max() <= 1e-15
+        adam = optim.Adam([t for _, t in model.named_tensors()], learning_rate=0.01)
+        trace = M.fit(model, adam, tokens, [0, 1, 2], epochs=2, batch_size=2, seed=3)
+        assert np.isfinite(trace).all()
+
+    def test_lengths(self):
+        ids = np.array([[0, 0, 0], [4, 0, 0], [4, 0, 5], [1, 2, 3]])
+        assert M.sequence_lengths(ids).tolist() == [1, 1, 3, 3]
+
+
+def full_length_arrays(kind):
+    """One model's outputs and gradients on comments with no pads.
+
+    A training pass with dropout (its loss, probabilities, features,
+    per-example reconstruction error and every parameter gradient) and a
+    chunked ``predict_batch`` with the reconstruction.
+    """
+    cfg = M.ClassifierConfig(vocab_size=10, embed_dim=3, hidden_size=4, num_layers=2,
+                             dropout=0.25, num_classes=3, max_len=6, seed=3, head_hidden=4)
+    model = M.build_model(kind, cfg)
+    tokens = np.random.default_rng(7).integers(1, 10, (5, 6))
+    labels = np.array([0, 1, 2, 1, 0])
+    with T.Tape() as tape:
+        out = model.forward_batch(tokens, training=True, rng=np.random.default_rng(9))
+        total, _, _ = model.losses(out, labels)
+    tape.backward(total)
+    arrays = {"loss": total.array, "probs": out.probs.array, "features": out.features.array}
+    if out.recon_per_example is not None:
+        arrays["recon_per_example"] = out.recon_per_example
+    for name, t in model.named_tensors():
+        arrays[f"grad.{name}"] = t.grad_array
+    probs, feats, recon = model.predict_batch(tokens, chunk=3, reconstruct=True)
+    arrays["predict.probs"], arrays["predict.features"] = probs, feats
+    if recon is not None:
+        arrays["predict.recon_per_example"] = recon
+    return {f"{kind}.{k}": np.array(v) for k, v in arrays.items()}
+
+
+class TestFullLengthBitwise:
+    """On comments with no pads, packing changes nothing: outputs and gradients are bitwise
+    those of the unpacked implementation (commit 826dd58), recorded as SHA-256 digests of
+    ``full_length_arrays`` in ``fixtures/full_length_parent.json``."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_bits_as_the_unpacked_models(self, kind):
+        want = json.loads((FIXTURES / "full_length_parent.json").read_text())
+        got = {key: hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+               + f":{list(a.shape)}" for key, a in full_length_arrays(kind).items()}
+        assert sorted(got) == sorted(k for k in want if k.startswith(kind + "."))
+        assert [key for key in sorted(got) if got[key] != want[key]] == []

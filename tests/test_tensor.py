@@ -563,6 +563,114 @@ class TestLstmLayerBranches:
             T.lstm_layer([T.Tensor(xs[0]), T.Tensor(xs[1][:, :1])], w, u, b)
 
 
+class TestLstmLayerPacked:
+    """``lengths``: a packed batch against each row run alone over its own steps."""
+
+    WIDTH, HIDDEN = 5, 4
+
+    def run(self, xs, params, steps, last_only, lengths, gs):
+        """One taped op; the loss weights branch k's output by ``gs[k]``. Returns outputs and gradients."""
+        x_t = [T.Tensor(a, requires_grad=True) for a in xs]
+        w, u, b = ([T.Tensor(p[j], requires_grad=True) for p in params] for j in range(3))
+        x_in = x_t[0] if len(x_t) == 1 else x_t
+        untaped = T.lstm_layer(x_in, w, u, b, steps=steps, last_only=last_only, lengths=lengths)
+        with T.Tape() as tape:
+            outs = T.lstm_layer(x_in, w, u, b, steps=steps, last_only=last_only, lengths=lengths)
+            loss = T.total_sum(T.mul(outs[0], T.constant(gs[0])))
+            for out, g in zip(outs[1:], gs[1:]):
+                loss = T.add(loss, T.total_sum(T.mul(out, T.constant(g))))
+        tape.backward(loss)
+        for a, o in zip(untaped, outs):
+            assert np.array_equal(a.array, o.array)
+        return ([o.array for o in outs], [t.grad_array for t in x_t],
+                [[t.grad_array for t in ts] for ts in zip(w, u, b)])
+
+    def inputs(self, rng, repeat, branches, lengths, last_only):
+        steps, batch = lengths[0], len(lengths)
+        x_shape = (batch, self.WIDTH) if repeat else (steps, batch, self.WIDTH)
+        xs = [rng.uniform(-1, 1, x_shape) for _ in range(branches)]
+        params = [[rng.uniform(-1, 1, shape) for shape in (
+            (4 * self.HIDDEN, self.WIDTH), (4 * self.HIDDEN, self.HIDDEN), (4 * self.HIDDEN,))]
+            for _ in range(branches)]
+        out_shape = (batch, self.HIDDEN) if last_only else (steps, batch, self.HIDDEN)
+        gs = [rng.uniform(-1, 1, out_shape) for _ in range(branches)]
+        return xs, params, gs
+
+    @pytest.mark.parametrize("lengths", [[6, 4, 4, 1], [5, 5, 2], [3, 1], [7, 6, 5, 4, 3, 2, 1, 1]])
+    @pytest.mark.parametrize("branches", [1, 3])
+    @pytest.mark.parametrize("last_only", [False, True])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_each_row_runs_only_its_own_steps(self, repeat, last_only, branches, lengths):
+        rng = np.random.default_rng(sum(lengths) + 10 * branches)
+        steps = lengths[0]
+        xs, params, gs = self.inputs(rng, repeat, branches, lengths, last_only)
+        outs, dxs, dparams = self.run(xs, params, steps, last_only, np.array(lengths), gs)
+        want_params = [[np.zeros_like(a) for a in p] for p in params]
+        for r, n in enumerate(lengths):
+            # row r alone, over its own n steps; the loss reads only those steps
+            row_x = [x[r:r + 1] if repeat else x[:n, r:r + 1] for x in xs]
+            row_g = [g[r:r + 1] if last_only else g[:n, r:r + 1] for g in gs]
+            r_outs, r_dxs, r_params = self.run(row_x, params, n, last_only, None, row_g)
+            for k in range(branches):
+                got = outs[k][r] if last_only else outs[k][:n, r]
+                assert np.abs(got - r_outs[k].reshape(got.shape)).max() <= 1e-14
+                if not last_only:  # zero past the row's length
+                    assert np.all(outs[k][n:, r] == 0.0)
+                got_dx = dxs[k][r] if repeat else dxs[k][:n, r]
+                assert np.abs(got_dx - r_dxs[k].reshape(got_dx.shape)).max() <= 1e-13
+                if not repeat:  # the pad steps of the input get no gradient
+                    assert np.all(dxs[k][n:, r] == 0.0)
+                for acc, gr in zip(want_params[k], r_params[k]):
+                    acc += gr
+        for got, want in zip(dparams, want_params):
+            for a, e in zip(got, want):
+                assert np.abs(a - e).max() <= 1e-12
+
+    def test_pad_adjoints_and_pad_inputs_are_ignored(self):
+        # what a row holds or receives past its length does not reach anything
+        rng = np.random.default_rng(31)
+        lengths = np.array([5, 3, 2])
+        xs, params, gs = self.inputs(rng, False, 1, list(lengths), False)
+        base = self.run(xs, params, 5, False, lengths, gs)
+        noisy_x, noisy_g = xs[0].copy(), gs[0].copy()
+        for r, n in enumerate(lengths):
+            noisy_x[n:, r] = rng.uniform(-9, 9, noisy_x[n:, r].shape)
+            noisy_g[n:, r] = rng.uniform(-9, 9, noisy_g[n:, r].shape)
+        noisy = self.run([noisy_x], params, 5, False, lengths, [noisy_g])
+        assert all(np.array_equal(a, e) for a, e in zip(noisy[0] + noisy[2][0], base[0] + base[2][0]))
+
+    @pytest.mark.parametrize("last_only", [False, True])
+    @pytest.mark.parametrize("repeat", [False, True])
+    @pytest.mark.parametrize("branches", [1, 3])
+    def test_full_lengths_are_bitwise_the_unpacked_layer(self, repeat, last_only, branches,
+                                                         monkeypatch):
+        monkeypatch.setattr(self, "HIDDEN", 16)  # a width the reference matches bitwise
+        rng = np.random.default_rng(40 + branches)
+        lengths = [6] * 32
+        xs, params, gs = self.inputs(rng, repeat, branches, lengths, last_only)
+        packed = self.run(xs, params, 6, last_only, np.array(lengths), gs)
+        plain = self.run(xs, params, 6, last_only, None, gs)
+        for a, e in zip(packed[0] + packed[1], plain[0] + plain[1]):
+            assert np.array_equal(a, e)
+        for a, e in zip(sum(packed[2], []), sum(plain[2], [])):
+            assert np.array_equal(a, e)
+        # and the unpacked layer is the batch-major reference
+        for k in range(branches):
+            ref_out, ref_grads = batch_major_lstm(xs[k], *params[k], 6, last_only, gs[k])
+            assert np.array_equal(plain[0][k], ref_out)
+            for a, e in zip([plain[1][k]] + plain[2][k], ref_grads):
+                assert np.array_equal(a, e)
+
+    def test_lengths_must_be_sorted_and_cover_the_steps(self):
+        w, u, b = T.Tensor.zeros((8, 3)), T.Tensor.zeros((8, 2)), T.Tensor.zeros((8,))
+        x = T.Tensor(np.zeros((4, 3, 3)))
+        for bad in ([3, 4, 2], [3, 2, 1], [4, 2, 0]):
+            with pytest.raises(ValueError, match="longest first"):
+                T.lstm_layer(x, [w], [u], [b], lengths=np.array(bad))
+        with pytest.raises(T.ShapeError, match="lengths"):
+            T.lstm_layer(x, [w], [u], [b], lengths=np.array([4, 4]))
+
+
 class TestGradcheckCoverage:
     # public names of the tensor module that are not differentiable ops;
     # activation is the dispatcher behind tanh, sigmoid and relu, which are

@@ -117,6 +117,32 @@ class TestEncodePad:
             assert len(ids) == 6
 
 
+class TestIdMatrix:
+    """``encode`` and ``pad_id_lists`` against the per-token and per-row paths they replaced."""
+
+    def test_same_matrix_as_padding_each_row(self):
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(30)]
+        vocab = TXT.build_vocab([words[:20]], max_size=15)
+        for max_len in (1, 4, 12):
+            # empty lists, lists shorter than, as long as and longer than max_len
+            token_lists = [list(rng.choice(words, int(rng.integers(0, 2 * max_len + 2))))
+                           for _ in range(40)] + [[]]
+            encoded = [vocab.encode(tokens) for tokens in token_lists]
+            assert encoded == [[vocab.token_to_id.get(t, TXT.UNK_ID) for t in tokens]
+                               for tokens in token_lists]
+            want = np.asarray([TXT.pad_ids(ids, max_len) for ids in encoded], dtype=np.int64)
+            got = TXT.pad_id_lists(iter(encoded), max_len)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(TXT.encode_token_lists(vocab, token_lists, max_len), want)
+
+    def test_edge_shapes(self):
+        assert TXT.pad_id_lists([], 4).shape == (0,)
+        assert TXT.pad_id_lists([[], []], 3).tolist() == [[0, 0, 0], [0, 0, 0]]
+        with pytest.raises(ValueError, match="max_len"):
+            TXT.pad_id_lists([[2]], 0)
+
+
 def write_counts_csv(path, counts, prefix="x"):
     rows = ["id,text,label"]
     for label, n in counts.items():
