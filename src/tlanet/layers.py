@@ -82,12 +82,6 @@ class LSTMCellParams:
                    Tensor(np.concatenate(us), requires_grad=True, name=f"{prefix}.u_gates"),
                    Tensor(bias, requires_grad=True, name=f"{prefix}.b_gates"))
 
-    @classmethod
-    def zeros(cls, input_size: int, hidden_size: int) -> "LSTMCellParams":
-        return cls(Tensor.zeros((4 * hidden_size, input_size), requires_grad=True),
-                   Tensor.zeros((4 * hidden_size, hidden_size), requires_grad=True),
-                   Tensor.zeros((4 * hidden_size,), requires_grad=True))
-
     def tensors(self):
         yield self.w
         yield self.u

@@ -167,8 +167,8 @@ def sequence_lengths(ids: np.ndarray) -> np.ndarray:
 class _Packed:
     """A batch as the LSTM layers read it: rows ordered longest first, trimmed to the longest.
 
-    ``lengths`` is None when every row runs all ``steps``; then nothing is
-    packed and the layers run their whole-block path.
+    ``lengths`` is None when every row runs all ``steps``; then every
+    step of the layers runs on the whole batch.
     """
 
     def __init__(self, ids: np.ndarray):

@@ -13,7 +13,9 @@ from tlanet.gradcheck import check_gradients
 
 
 def zero_cell(input_size=2, hidden_size=2):
-    return L.LSTMCellParams.zeros(input_size, hidden_size)
+    return L.LSTMCellParams(T.Tensor.zeros((4 * hidden_size, input_size), requires_grad=True),
+                            T.Tensor.zeros((4 * hidden_size, hidden_size), requires_grad=True),
+                            T.Tensor.zeros((4 * hidden_size,), requires_grad=True))
 
 
 def run_cell(p, x, **kwargs):

@@ -208,13 +208,6 @@ class TestBackward:
         with pytest.raises(T.GraphError, match="scalar"):
             tape.backward(y)
 
-    def test_functional_spelling(self):
-        x = T.Tensor([2.0], requires_grad=True)
-        with T.Tape() as tape:
-            loss = T.total_sum(T.mul(x, x))
-        T.backward(loss, tape)
-        assert np.allclose(x.grad, [4.0])
-
     def test_no_recording_outside_tape(self):
         x = T.Tensor([1.0], requires_grad=True)
         y = T.mul(x, x)
@@ -486,7 +479,7 @@ class TestLstmLayerBranches:
         gs = [rng.uniform(-1, 1, out_shape) for _ in range(branches)]
         return xs, params, gs
 
-    def run_op(self, xs, params, gs, last_only, second_reader=None):
+    def run_op(self, xs, params, gs, last_only, second_reader=None, lengths=None):
         """One taped op over all branches; the loss weights branch k's output by ``gs[k]``.
 
         ``second_reader`` adds ``sum(x * second_reader)`` of the shared input,
@@ -495,9 +488,10 @@ class TestLstmLayerBranches:
         x_t = [T.Tensor(a, requires_grad=True) for a in xs]
         w, u, b = ([T.Tensor(p[j], requires_grad=True) for p in params] for j in range(3))
         x_in = x_t[0] if len(x_t) == 1 else x_t
-        untaped = T.lstm_layer(x_in, w, u, b, steps=self.STEPS, last_only=last_only)
+        kwargs = {"steps": self.STEPS, "last_only": last_only, "lengths": lengths}
+        untaped = T.lstm_layer(x_in, w, u, b, **kwargs)
         with T.Tape() as tape:
-            outs = T.lstm_layer(x_in, w, u, b, steps=self.STEPS, last_only=last_only)
+            outs = T.lstm_layer(x_in, w, u, b, **kwargs)
             loss = T.total_sum(T.mul(outs[0], T.constant(gs[0])))
             for out, g in zip(outs[1:], gs[1:]):
                 loss = T.add(loss, T.total_sum(T.mul(out, T.constant(g))))
@@ -506,17 +500,28 @@ class TestLstmLayerBranches:
         tape.backward(loss)
         return untaped, outs, x_t, w, u, b
 
-    @pytest.mark.parametrize("branches", [1, 3])
+    @pytest.mark.parametrize("branches, lengths", [(1, None), (3, None), (1, [5, 3, 5, 1, 2]),
+                                                   (3, [5, 3, 5, 1, 2])],
+                             ids=["1", "3", "1-packed", "3-packed"])
     @pytest.mark.parametrize("batch", [1, 2, 32, 184, 256])
     @pytest.mark.parametrize("last_only", [False, True])
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("repeat", [False, True])
-    def test_same_bits_as_separate_branches(self, repeat, shared, last_only, batch, branches):
+    def test_same_bits_as_separate_branches(self, repeat, shared, last_only, batch, branches,
+                                            lengths):
         rng = np.random.default_rng(batch + 7 * branches)
         xs, params, gs = self.branch_inputs(rng, repeat, shared, last_only, batch, branches)
-        refs = [batch_major_lstm(xs[0 if shared else k], *params[k], self.STEPS, last_only, gs[k])
-                for k in range(branches)]
-        untaped, outs, x_t, w, u, b = self.run_op(xs, params, gs, last_only)
+        if lengths is not None:  # the pattern's lengths, longest first, against K single-branch ops
+            lengths = np.sort(np.resize(lengths, batch))[::-1].copy()
+            refs = []
+            for k in range(branches):
+                _, [out], [x_k], [w_k], [u_k], [b_k] = self.run_op(
+                    [xs[0 if shared else k]], [params[k]], [gs[k]], last_only, lengths=lengths)
+                refs.append((out.array, tuple(t.grad_array for t in (x_k, w_k, u_k, b_k))))
+        else:
+            refs = [batch_major_lstm(xs[0 if shared else k], *params[k], self.STEPS, last_only, gs[k])
+                    for k in range(branches)]
+        untaped, outs, x_t, w, u, b = self.run_op(xs, params, gs, last_only, lengths=lengths)
         for k, (ref_out, (dx, dw, du, db)) in enumerate(refs):
             assert np.array_equal(untaped[k].array, ref_out)
             assert np.array_equal(outs[k].array, ref_out)
@@ -671,12 +676,49 @@ class TestLstmLayerPacked:
             T.lstm_layer(x, [w], [u], [b], lengths=np.array([4, 4]))
 
 
+class TestLstmLayerBlocking:
+    """``BPTT_BLOCK_VALUES`` sets how many steps' factors are formed at once, never a bit of the result."""
+
+    STEPS, WIDTH, HIDDEN, BATCH = 12, 5, 16, 64
+
+    def run(self, x, params, g, last_only, lengths):
+        x_t = T.Tensor(x, requires_grad=True)
+        w, u, b = ([T.Tensor(p[j], requires_grad=True) for p in params] for j in range(3))
+        with T.Tape() as tape:
+            outs = T.lstm_layer(x_t, w, u, b, steps=self.STEPS, last_only=last_only, lengths=lengths)
+            loss = T.total_sum(T.mul(outs[0], T.constant(g[0])))
+            for out, gk in zip(outs[1:], g[1:]):
+                loss = T.add(loss, T.total_sum(T.mul(out, T.constant(gk))))
+        tape.backward(loss)
+        return [o.array for o in outs] + [t.grad_array for t in (x_t, *w, *u, *b)]
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("branches", [1, 3])
+    @pytest.mark.parametrize("last_only", [False, True])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_block_size_does_not_change_bits(self, repeat, last_only, branches, mixed, monkeypatch):
+        rng = np.random.default_rng(60 + branches)
+        x = rng.uniform(-1, 1, (self.BATCH, self.WIDTH) if repeat
+                        else (self.STEPS, self.BATCH, self.WIDTH))
+        params = [[rng.uniform(-1, 1, shape) for shape in (
+            (4 * self.HIDDEN, self.WIDTH), (4 * self.HIDDEN, self.HIDDEN), (4 * self.HIDDEN,))]
+            for _ in range(branches)]
+        g = rng.uniform(-1, 1, (branches, self.BATCH, self.HIDDEN) if last_only
+                        else (branches, self.STEPS, self.BATCH, self.HIDDEN))
+        # runs of 64, 44 and 24 rows, so the default blocks split some runs
+        lengths = np.repeat([12, 9, 4], [24, 20, 20]) if mixed else None
+        default = self.run(x, params, g, last_only, lengths)
+        for block in (1, 10 ** 9):  # one step per block; one block per run
+            monkeypatch.setattr(T, "BPTT_BLOCK_VALUES", block)
+            for a, e in zip(self.run(x, params, g, last_only, lengths), default):
+                assert np.array_equal(a, e)
+
+
 class TestGradcheckCoverage:
     # public names of the tensor module that are not differentiable ops;
     # activation is the dispatcher behind tanh, sigmoid and relu, which are
     # each checked under their own name
-    NOT_OPS = {"backward", "scalar_recurrence", "recurrence_trajectory", "recurrence_regime",
-               "activation"}
+    NOT_OPS = {"scalar_recurrence", "recurrence_trajectory", "recurrence_regime", "activation"}
 
     def test_every_differentiable_op_has_a_check(self):
         ops = {name for name in T.__all__
