@@ -219,7 +219,7 @@ def save_checkpoint(path, kind: str, config: ClassifierConfig, vocab: Vocabulary
 
 def _array(arrays: dict[str, np.ndarray], name: str, path) -> np.ndarray:
     if name not in arrays:
-        raise ArtifactMismatch(f"{path}: checkpoint missing array {name!r}")
+        raise ArtifactMismatch(f"{path}: missing array {name!r}")
     return arrays[name]
 
 
@@ -228,7 +228,7 @@ def _meta_field(meta, key: str, path, parse):
     try:
         return parse(meta[key])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ArtifactMismatch(f"{path}: checkpoint meta {key!r} is missing or malformed "
+        raise ArtifactMismatch(f"{path}: meta {key!r} is missing or malformed "
                                f"({type(exc).__name__}: {exc})") from None
 
 
@@ -328,6 +328,14 @@ def save_dataset_cache(path, vocab: Vocabulary, language: str,
 
 
 def load_dataset_cache(path) -> DatasetCache:
+    """Read a cache; one that does not hold a non-empty (examples, steps) id
+    matrix and one integer label per row raises ``ArtifactMismatch``."""
     meta, arrays = load_container(path, DATASET_MAGIC)
-    return DatasetCache(meta["vocab_hash"], meta["language"], arrays["tokens"],
-                        arrays["labels"], list(meta["example_ids"]))
+    tokens, labels = _array(arrays, "tokens", path), _array(arrays, "labels", path)
+    if tokens.ndim != 2 or 0 in tokens.shape or labels.shape != tokens.shape[:1] \
+            or tokens.dtype.kind != "i" or labels.dtype.kind != "i":
+        raise ArtifactMismatch(f"{path}: tokens {tokens.shape} and labels {labels.shape} are not "
+                               f"an (examples, steps) id matrix and one label per example")
+    return DatasetCache(_meta_field(meta, "vocab_hash", path, _of_type(str)),
+                        _meta_field(meta, "language", path, _of_type(str)), tokens, labels,
+                        _meta_field(meta, "example_ids", path, _of_type(list)))

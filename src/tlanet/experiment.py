@@ -234,8 +234,15 @@ def _load_eval_dataset(path, bundle: ckpt.CheckpointBundle, language: str):
             raise ckpt.ArtifactMismatch(
                 f"dataset cache {path} was encoded with vocabulary {cache.vocab_hash[:12]}..., "
                 f"checkpoint expects {bundle.vocab_hash[:12]}...")
+        for name, values, bound in (("token id", cache.tokens, bundle.vocab.size),
+                                    ("label", cache.labels, bundle.config.num_classes)):
+            if values.min() < 0 or values.max() >= bound:
+                raise ckpt.ArtifactMismatch(f"dataset cache {path} holds a {name} outside "
+                                            f"[0, {bound})")
         return cache.tokens, cache.labels, cache.language
     split = TXT.load_trac2(path, language=language)
+    if not split.examples:
+        raise ConfigError("--dataset", f"no examples in {path}")
     tokens, labels = TXT.encode_dataset(bundle.vocab, split.examples, bundle.config.max_len)
     return tokens, labels, language
 
@@ -243,6 +250,8 @@ def _load_eval_dataset(path, bundle: ckpt.CheckpointBundle, language: str):
 def run_evaluate(checkpoint_path, dataset_path, out_dir, theta: float | None = None,
                  language: str = "english", sweep: bool = False,
                  scheme: str = "weighted") -> dict:
+    if theta is not None and not 0.0 <= theta <= 1.0:
+        raise ConfigError("--theta", f"rejection threshold must be in [0, 1], got {theta}")
     bundle = ckpt.load_checkpoint(checkpoint_path)
     if bundle.head is None:
         raise ckpt.ArtifactMismatch(f"{checkpoint_path} has no rejection head to classify with")

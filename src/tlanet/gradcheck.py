@@ -127,8 +127,7 @@ def ops_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     fd("op.add_bias", lambda: _bias(rng))
     fd("op.linear", lambda: _linear(rng))
     fd("op.tanh", lambda: _unary(rng, T.tanh))
-    fd("op.sigmoid", lambda: _unary(rng, T.sigmoid))
-    fd("op.relu", lambda: _unary(rng, T.relu, offset=0.3))
+    fd("op.relu", lambda: _unary(rng, lambda x: T.activation(x, "relu"), offset=0.3))
     fd("op.softmax_rows", lambda: _softmax_rows(rng))
     fd("op.concat", lambda: _concat(rng))
     fd("op.weighted_sum", lambda: _weighted_sum(rng))
@@ -342,9 +341,7 @@ def models_suite(seed: int = 0) -> list[tuple[str, object, float]]:
 
     def model_check(model, tokens=tokens, target=target):
         def loss_fn():
-            out = model.forward_batch(tokens, training=False)
-            loss = model.training_loss(out, target)
-            return loss
+            return model.losses(model.forward_batch(tokens, training=False), target)[0]
 
         return check_gradients(loss_fn, list(model.tensors()))
 

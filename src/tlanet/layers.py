@@ -5,9 +5,7 @@ repeat vector is a (batch, width) tensor that an LSTM stack reads at
 every step. ``lstm_forward`` runs K stacks of the same shape side by side,
 one ``lstm_layer`` op per depth for all of them. Row-wise heads (dense
 layers, the meta-learner) run once over a sequence flattened to
-(steps * batch, width) rows. Rank-1 vectors are
-accepted by ``dense_forward`` and promoted through a recorded reshape so
-gradients still flow.
+(steps * batch, width) rows.
 """
 
 from __future__ import annotations
@@ -29,14 +27,6 @@ def _uniform(rng: np.random.Generator, rows: int, cols: int, fan_in: int) -> np.
 
 def _init_matrix(rng: np.random.Generator, rows: int, cols: int, fan_in: int, name: str) -> Tensor:
     return Tensor(_uniform(rng, rows, cols, fan_in), requires_grad=True, name=name)
-
-
-def _as_rows(x: Tensor) -> tuple[Tensor, bool]:
-    if len(x.shape) == 1:
-        return T.reshape(x, (1, x.shape[0])), True
-    if len(x.shape) == 2:
-        return x, False
-    raise ShapeError(f"expected a vector or matrix, got shape {x.shape}")
 
 
 @dataclass
@@ -212,16 +202,13 @@ class DenseParams:
 
 
 def dense_forward(weights: Tensor, bias: Tensor, x: Tensor, act: str = "linear") -> Tensor:
-    """``act(W x + b)`` with ``act`` one of linear, tanh, sigmoid, relu, softmax."""
-    rows, was_vector = _as_rows(x)
-    z = T.add_bias(T.linear(rows, weights), bias)
+    """``act(x W^T + b)`` of a (rows, in) tensor, ``act`` one of linear, tanh, relu, softmax."""
+    z = T.add_bias(T.linear(x, weights), bias)
     if act == "linear":
-        out = z
-    elif act == "softmax":
-        out = T.softmax_rows(z)
-    else:
-        out = T.activation(z, act)
-    return T.reshape(out, (out.shape[1],)) if was_vector else out
+        return z
+    if act == "softmax":
+        return T.softmax_rows(z)
+    return T.activation(z, act)
 
 
 @dataclass

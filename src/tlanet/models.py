@@ -216,16 +216,10 @@ class _SequenceModel:
         self._rng = np.random.default_rng(cfg.seed)
         self.embedding = L.EmbeddingTable.init(cfg.vocab_size, cfg.embed_dim, self._rng)
 
-    # subclasses implement forward_batch() and _tensors()
-
-    def tensors(self):
-        yield from self._tensors()
+    # subclasses implement forward_batch() and tensors()
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, t in enumerate(self.tensors()):
-            out.append((t.name or f"param.{i}", t))
-        return out
+        return [(t.name, t) for t in self.tensors()]
 
     @property
     def feature_dim(self) -> int:
@@ -253,16 +247,14 @@ class _SequenceModel:
         per-example values, each summed over the example's real steps only.
         """
         recon = L.dense_forward(self.recon.weights, self.recon.bias, rows)
+        loss, sq = optim.reconstruction_loss(self._real_step_rows(embedded, packed), recon)
         steps, batch = embedded.shape[0], embedded.shape[1]
         real = packed.real_rows
-        target = T.reshape(embedded, (steps * batch, embedded.shape[2]))
-        diff = T.sub(target if real is None else T.take_rows(target, real), recon)
-        sq = T.mul(diff, diff)
         if real is None:
-            per = sq.array.reshape(steps, batch, -1).sum(axis=(0, 2))
+            per = sq.reshape(steps, batch, -1).sum(axis=(0, 2))
         else:
-            per = np.bincount(real % batch, weights=sq.array.sum(axis=1), minlength=batch)
-        return recon, T.scale(T.total_sum(sq), 1.0 / batch), per
+            per = np.bincount(real % batch, weights=sq.sum(axis=1), minlength=batch)
+        return recon, T.scale(loss, 1.0 / batch), per
 
     def losses(self, out: BatchOutput, targets, recon_weight: float = 0.5):
         """(total, classification, reconstruction) scalar tensors for a batch."""
@@ -272,9 +264,6 @@ class _SequenceModel:
             return class_loss, class_loss, None
         total = T.add(class_loss, T.scale(out.recon_loss, float(recon_weight)))
         return total, class_loss, out.recon_loss
-
-    def training_loss(self, out: BatchOutput, targets, recon_weight: float = 0.5) -> Tensor:
-        return self.losses(out, targets, recon_weight)[0]
 
     def predict_batch(self, tokens, chunk: int = 256, reconstruct: bool = False):
         """Inference over many examples: (probs, features, recon-per-example) arrays.
@@ -320,7 +309,7 @@ class LstmClassifier(_SequenceModel):
     def feature_dim(self) -> int:
         return self.cfg.hidden_size
 
-    def _tensors(self):
+    def tensors(self):
         yield self.embedding.table
         yield from self.trunk.tensors()
         yield from self.head.tensors()
@@ -351,7 +340,7 @@ class BiLstmClassifier(_SequenceModel):
     def feature_dim(self) -> int:
         return 2 * self.cfg.hidden_size
 
-    def _tensors(self):
+    def tensors(self):
         yield self.embedding.table
         yield from self.fwd.tensors()
         yield from self.bwd.tensors()
@@ -362,11 +351,11 @@ class BiLstmClassifier(_SequenceModel):
                       reconstruct: bool = True) -> BatchOutput:
         p = _check_pass(tokens, training, reconstruct)
         # classify from the final state of each direction: both have read
-        # the whole comment; the backward one reads it reversed
-        [fwd] = L.lstm_forward([self.fwd], self._embed(p.ids), training, rng, last_only=True,
-                               lengths=p.lengths)
-        [bwd] = L.lstm_forward([self.bwd], self._embed(p.reversed_ids()), training, rng,
-                               last_only=True, lengths=p.lengths)
+        # the whole comment; the backward one reads it reversed. The two run
+        # side by side, drawing their dropout masks forward stack first.
+        fwd, bwd = L.lstm_forward([self.fwd, self.bwd],
+                                  [self._embed(p.ids), self._embed(p.reversed_ids())],
+                                  training, rng, last_only=True, lengths=p.lengths)
         return BatchOutput(*self._classify(p.restore(T.concat([fwd, bwd], axis=1))))
 
 
@@ -388,7 +377,7 @@ class LstmAutoencoder(_SequenceModel):
     def feature_dim(self) -> int:
         return self.cfg.hidden_size
 
-    def _tensors(self):
+    def tensors(self):
         yield self.embedding.table
         yield from self.encoder.tensors()
         yield from self.decoder.tensors()
@@ -446,7 +435,7 @@ class TlaNet(_SequenceModel):
     def feature_dim(self) -> int:
         return self.cfg.head_hidden
 
-    def _tensors(self):
+    def tensors(self):
         yield self.embedding.table
         for stack in (*self.enc_stage1, *self.enc_stage2):
             yield from stack.tensors()

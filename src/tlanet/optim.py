@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 PROB_FLOOR = 1e-12
 
@@ -26,24 +26,16 @@ def cce_rows(probs: Tensor, targets) -> Tensor:
     return T.scale(T.total_sum(T.clip_log(picked, PROB_FLOOR)), -1.0 / probs.shape[0])
 
 
-def _as_matrix(seq) -> Tensor:
-    if isinstance(seq, Tensor):
-        return seq
-    rows = [T.reshape(v, (1, v.shape[0])) if len(v.shape) == 1 else v for v in seq]
-    return T.concat(rows, axis=0)
+def reconstruction_loss(inputs: Tensor, outputs: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Sum over rows and columns of the squared differences of two (rows, width) tensors.
 
-
-def reconstruction_loss(inputs, outputs) -> Tensor:
-    """Sum over steps and dimensions of squared differences between two sequences.
-
-    Accepts rank-2 tensors or lists of step vectors; shapes must agree
-    exactly. Zero iff the sequences are identical, and symmetric.
+    Also returns the squared differences, (rows, width), from which the
+    models read each example's error. Shapes must agree exactly. The sum is
+    zero iff the rows are identical, and symmetric.
     """
-    i_mat, o_mat = _as_matrix(inputs), _as_matrix(outputs)
-    if i_mat.shape != o_mat.shape:
-        raise ShapeError(f"reconstruction: input {i_mat.shape} vs output {o_mat.shape}")
-    diff = T.sub(i_mat, o_mat)
-    return T.total_sum(T.mul(diff, diff))
+    diff = T.sub(inputs, outputs)
+    sq = T.mul(diff, diff)
+    return T.total_sum(sq), sq.array
 
 
 @dataclass

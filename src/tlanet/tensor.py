@@ -42,8 +42,6 @@ __all__ = [
     "linear",
     "activation",
     "tanh",
-    "sigmoid",
-    "relu",
     "softmax_rows",
     "concat",
     "weighted_sum",
@@ -55,7 +53,6 @@ __all__ = [
     "take_rows",
     "dropout",
     "lstm_layer",
-    "scalar_recurrence",
     "recurrence_trajectory",
     "recurrence_regime",
 ]
@@ -321,7 +318,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _emit(out, out.shape, (x, w), rule)
 
 
-_ACTIVATIONS = ("tanh", "sigmoid", "relu")
+_ACTIVATIONS = ("tanh", "relu")
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -331,9 +328,6 @@ def activation(x: Tensor, kind: str) -> Tensor:
     if kind == "tanh":
         y = np.tanh(xv)
         rule = lambda g, y=y: (g * (1.0 - y * y),)
-    elif kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-xv))
-        rule = lambda g, y=y: (g * y * (1.0 - y),)
     else:
         y = np.maximum(xv, 0.0)
         mask = (xv > 0.0).astype(np.float64)
@@ -343,14 +337,6 @@ def activation(x: Tensor, kind: str) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     return activation(x, "tanh")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return activation(x, "sigmoid")
-
-
-def relu(x: Tensor) -> Tensor:
-    return activation(x, "relu")
 
 
 def _stable_softmax(v: np.ndarray) -> np.ndarray:
@@ -608,8 +594,9 @@ def lstm_layer(x: Tensor | list[Tensor], w: list[Tensor], u: list[Tensor], b: li
         raise ShapeError(f"lstm_layer: gate bias {b0.shape} does not match gate weights {w0.shape}")
     for k in range(1, branches):
         if (w[k].shape, u[k].shape, b[k].shape) != (w0.shape, u0.shape, b0.shape):
-            raise ShapeError(f"lstm_layer: branch {k}'s gates {w[k].shape}, {u[k].shape}, {b[k].shape} "
-                             f"differ from branch 0's {w0.shape}, {u0.shape}, {b0.shape}")
+            raise ShapeError(f"lstm_layer: the shape of branch {k}'s gates, {w[k].shape}, "
+                             f"{u[k].shape}, {b[k].shape}, does not match branch 0's {w0.shape}, "
+                             f"{u0.shape}, {b0.shape}")
         if xs[k].shape != xs[0].shape:
             raise ShapeError(f"lstm_layer: branch {k}'s input {xs[k].shape} differs from "
                              f"branch 0's {xs[0].shape}")
@@ -809,10 +796,6 @@ def recurrence_trajectory(r: ScalarRecurrence) -> list[float]:
     for _ in range(r.steps):
         xs.append(xs[-1] * r.weight)
     return xs
-
-
-def scalar_recurrence(r: ScalarRecurrence) -> float:
-    return recurrence_trajectory(r)[-1]
 
 
 def recurrence_regime(weight: float) -> str:

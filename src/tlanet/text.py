@@ -16,7 +16,7 @@ import hashlib
 import math
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -59,26 +59,11 @@ class LabeledExample:
 class DatasetSplit:
     name: str
     examples: list[LabeledExample]
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.counts:
-            self.counts = self.tally()
-        self.verify_counts()
 
     def tally(self) -> dict[str, int]:
+        """Examples per label, every label present."""
         c = Counter(ex.label for ex in self.examples)
         return {label: c.get(label, 0) for label in LABELS}
-
-    def verify_counts(self) -> None:
-        actual = self.tally()
-        if actual != self.counts:
-            raise DataFormatError(f"{self.name}: stored counts {self.counts} "
-                                  f"do not match recomputed {actual}")
-
-    @property
-    def total(self) -> int:
-        return len(self.examples)
 
     def __len__(self) -> int:
         return len(self.examples)

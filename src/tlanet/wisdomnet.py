@@ -65,20 +65,16 @@ class WisdomNetHead:
     def feature_dim(self) -> int:
         return self.weights.shape[1]
 
-    def probabilities(self, features: np.ndarray) -> np.ndarray:
-        """Row-wise class probabilities for (n, features) or a single feature vector."""
+    def probabilities(self, features) -> np.ndarray:
+        """Row-wise class probabilities of an (n, features) array."""
         x = np.asarray(features, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[1] != self.feature_dim:
-            raise ShapeError(f"feature width {x.shape[1]} does not match head "
-                             f"expecting {self.feature_dim}")
+        if x.ndim != 2 or x.shape[1] != self.feature_dim:
+            raise ShapeError(f"feature width of {x.shape} does not match head "
+                             f"expecting (n, {self.feature_dim})")
         z = x @ self.weights.array.T + self.bias.array
         z -= z.max(axis=1, keepdims=True)
         e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        return probs[0] if single else probs
+        return e / e.sum(axis=1, keepdims=True)
 
 
 def wisdomnet_train(data, labels, num_classes: int, epochs: int, learning_rate: float,
@@ -141,26 +137,18 @@ def wisdomnet_train(data, labels, num_classes: int, epochs: int, learning_rate: 
     return head
 
 
-def wisdomnet_classify(head: WisdomNetHead, x, theta: float | None = None):
-    """Argmax of the head's softmax, or REJECTED when max probability < theta.
+def classify_batch(head: WisdomNetHead, features, theta: float | None = None) -> list:
+    """Per row of an (n, features) array, the argmax of the head's softmax,
+    or REJECTED when its maximum is below theta.
 
     Ties go to the lowest class index. ``theta`` defaults to the head's
-    stored threshold; at theta=0 nothing is ever rejected.
+    stored threshold and must lie in [0, 1]; at theta=0 nothing is ever
+    rejected.
     """
     theta = head.threshold if theta is None else float(theta)
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {theta}")
-    probs = head.probabilities(x)
-    if probs.ndim != 1:
-        raise ShapeError("wisdomnet_classify takes a single feature vector")
-    if float(probs.max()) < theta:
-        return REJECTED
-    return int(np.argmax(probs))
-
-
-def classify_batch(head: WisdomNetHead, features, theta: float | None = None) -> list:
-    theta = head.threshold if theta is None else float(theta)
-    probs = head.probabilities(np.atleast_2d(np.asarray(features, dtype=np.float64)))
+    probs = head.probabilities(features)
     picks = probs.argmax(axis=1)
     maxes = probs.max(axis=1)
     return [REJECTED if m < theta else int(k) for k, m in zip(picks, maxes)]
@@ -177,9 +165,8 @@ def threshold_sweep(head: WisdomNetHead, features, labels, thetas) -> list[tuple
         raise ValueError("threshold sweep needs a non-empty grid")
     if any(not 0.0 <= t <= 1.0 for t in grid):
         raise ValueError("sweep thresholds must lie in [0, 1]")
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64)
-    probs = head.probabilities(x)
+    probs = head.probabilities(features)
     maxes = probs.max(axis=1)
     picks = probs.argmax(axis=1)
     points = []

@@ -124,9 +124,10 @@ class TestCriterion4RejectionSemantics:
     def test_worked_examples_bit_exact(self):
         head = W.WisdomNetHead(T.Tensor(np.eye(3)), T.Tensor(np.zeros(3)), 0.5)
         confident = np.log([0.9, 0.05, 0.05])
-        assert W.wisdomnet_classify(head, confident, 0.5) == 0
+        assert W.classify_batch(head, [confident], 0.5) == [0]
         uncertain = np.log([0.4, 0.3, 0.3])
-        assert W.is_rejected(W.wisdomnet_classify(head, uncertain, 0.5))
+        [decision] = W.classify_batch(head, [uncertain], 0.5)
+        assert W.is_rejected(decision)
 
     def test_theta_zero_is_plain_argmax_everywhere(self):
         rng = np.random.default_rng(40)
@@ -134,8 +135,8 @@ class TestCriterion4RejectionSemantics:
             head = W.WisdomNetHead(
                 T.Tensor(rng.uniform(-3, 3, (3, 5))), T.Tensor(rng.uniform(-1, 1, 3)))
             x = rng.uniform(-4, 4, 5)
-            decision = W.wisdomnet_classify(head, x, 0.0)
-            assert decision == int(np.argmax(head.probabilities(x)))
+            [decision] = W.classify_batch(head, [x], 0.0)
+            assert decision == int(np.argmax(head.probabilities([x])[0]))
 
     def test_sweep_coverage_monotone(self):
         rng = np.random.default_rng(41)
@@ -195,23 +196,48 @@ class TestCriterion5MetricOracle:
 class TestCriterion6ReconstructionLoss:
     def test_identity_and_hand_value(self):
         seq = T.Tensor([[0.5, -1.0], [2.0, 0.25]])
-        assert abs(optim.reconstruction_loss(seq, seq).item()) <= 1e-12
+        assert abs(optim.reconstruction_loss(seq, seq)[0].item()) <= 1e-12
         i = T.Tensor([[1.0, 2.0], [3.0, 0.0]])
         o = T.Tensor(np.zeros((2, 2)))
-        assert abs(optim.reconstruction_loss(i, o).item() - 14.0) <= 1e-12
+        assert abs(optim.reconstruction_loss(i, o)[0].item() - 14.0) <= 1e-12
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(60)
         i = T.Tensor(rng.uniform(-2, 2, (4, 3)))
         o = T.Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True)
         with T.Tape() as tape:
-            loss = optim.reconstruction_loss(i, o)
+            loss, _ = optim.reconstruction_loss(i, o)
         tape.backward(loss)
         assert np.allclose(o.grad_array, 2.0 * (o.array - i.array), atol=1e-15)
-        err = GC.check_gradients(lambda: optim.reconstruction_loss(i, o), [o])
+        err = GC.check_gradients(lambda: optim.reconstruction_loss(i, o)[0], [o])
         assert err <= 1e-8
         announce(6, "reconstruction loss exact on worked values; gradient "
                     "2(O-I) confirmed by finite differences")
+
+    @pytest.mark.parametrize("kind", ["lstm-ae", "tla-net"])
+    def test_is_the_loss_forward_batch_trains_on(self, monkeypatch, kind):
+        # full-length comments: the reconstruction rows are every embedded step, time-major
+        tokens = np.array([[2, 5, 3, 4], [6, 2, 7, 5], [3, 3, 4, 6]])
+        cfg = M.ClassifierConfig(vocab_size=8, embed_dim=3, hidden_size=4, num_layers=1,
+                                 dropout=0.0, max_len=4, seed=6, head_hidden=3)
+        model = M.build_model(kind, cfg)
+        calls = []
+        loss_fn = optim.reconstruction_loss
+
+        def spy(inputs, outputs):
+            calls.append((inputs.array.copy(), outputs.array.copy()))
+            return loss_fn(inputs, outputs)
+
+        monkeypatch.setattr(optim, "reconstruction_loss", spy)
+        out = model.forward_batch(tokens, training=True)
+        [(inputs, outputs)] = calls
+        assert np.array_equal(inputs, model.embedding.table.array[tokens.T.reshape(-1)])
+        assert np.array_equal(outputs, out.reconstruction.array)
+        total, sq = loss_fn(T.Tensor(inputs), T.Tensor(outputs))
+        assert out.recon_loss.item() == total.item() * (1.0 / tokens.shape[0])
+        assert np.array_equal(out.recon_per_example,
+                              sq.reshape(tokens.shape[1], tokens.shape[0], -1).sum(axis=(0, 2)))
+        announce(6, f"{kind}'s forward_batch trains on this reconstruction loss")
 
 
 def write_counts_csv(path, counts, prefix):
@@ -237,8 +263,8 @@ class TestCriterion7CorpusReconstruction:
     def test_loader_reproduces_every_published_count(self, raw_files):
         for (lang, split), path in raw_files.items():
             loaded = TXT.load_trac2(path, language=lang)
-            assert loaded.counts == A.RAW_COUNTS[(lang, split)]
-            assert loaded.total == sum(A.RAW_COUNTS[(lang, split)].values())
+            assert loaded.tally() == A.RAW_COUNTS[(lang, split)]
+            assert len(loaded) == sum(A.RAW_COUNTS[(lang, split)].values())
 
     def test_augment_command_hits_training_totals(self, raw_files, tmp_path):
         cfg = CFG.config_from_dict({
@@ -366,7 +392,7 @@ class TestCriterion10ScalarRecurrence:
             rec = T.ScalarRecurrence(weight, 1.0, 10)
             assert T.recurrence_trajectory(rec) == closed_form
             assert T.recurrence_regime(weight) == label
-        assert abs(T.scalar_recurrence(T.ScalarRecurrence(2.0, 1.0, 200))) > 1e12
-        assert abs(T.scalar_recurrence(T.ScalarRecurrence(0.5, 1.0, 200))) < 1e-12
+        assert abs(T.recurrence_trajectory(T.ScalarRecurrence(2.0, 1.0, 200))[-1]) > 1e12
+        assert abs(T.recurrence_trajectory(T.ScalarRecurrence(0.5, 1.0, 200))[-1]) < 1e-12
         announce(10, "scalar recurrence matches the closed form exactly and the "
                      "explode/vanish/neutral labels follow the weight")

@@ -482,6 +482,53 @@ class TestEvaluateCommand:
         assert (out / "report.txt").read_text().startswith("Model")
 
 
+    @pytest.mark.parametrize("theta", ["1.5", "-0.5", "nan"])
+    def test_theta_outside_unit_interval_exit_2(self, tmp_path, capsys, theta):
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac")
+        out = tmp_path / "eval"
+        err = expect_one_line_error(capsys, 2, [
+            "evaluate", "--checkpoint", str(ckpt), "--dataset", "builtin:synthetic-test",
+            "--theta", theta, "--out", str(out)])
+        assert "--theta" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["lstm", "word2vec-features"])
+    def test_csv_without_examples_exit_2(self, tmp_path, capsys, kind):
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac", kind)
+        data = tmp_path / "header-only.csv"
+        data.write_text("id,text,label\n", encoding="utf-8")
+        out = tmp_path / "eval"
+        err = expect_one_line_error(capsys, 2, [
+            "evaluate", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out)])
+        assert "no examples" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", [
+        "no_tokens_array", "no_language", "one_dimensional_tokens", "label_7", "token_id_99999"])
+    def test_malformed_dataset_cache_exit_4(self, tmp_path, capsys, fault):
+        ckpt = tiny_checkpoint(tmp_path / "m.tlac")
+        bundle = CK.load_checkpoint(ckpt)
+        cache = tmp_path / "data.tlad"
+        CK.save_dataset_cache(cache, bundle.vocab, "english", np.array([[2, 3, 0], [4, 0, 0]]),
+                              np.array([0, 2]), ["a", "b"])
+        meta, arrays = CK.load_container(cache, CK.DATASET_MAGIC)
+        if fault == "no_tokens_array":
+            del arrays["tokens"]
+        elif fault == "no_language":
+            del meta["language"]
+        elif fault == "one_dimensional_tokens":
+            arrays["tokens"] = arrays["tokens"][0]
+        elif fault == "label_7":
+            arrays["labels"][1] = 7
+        else:
+            arrays["tokens"][0, 1] = 99999
+        CK.save_container(cache, CK.DATASET_MAGIC, meta, list(arrays.items()))
+        out = tmp_path / "eval"
+        expect_one_line_error(capsys, 4, [
+            "evaluate", "--checkpoint", str(ckpt), "--dataset", str(cache), "--out", str(out)])
+        assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_ops_scope_passes(self, capsys):
         assert cli.main(["gradcheck", "--scope", "ops"]) == 0

@@ -279,16 +279,16 @@ class TestDense:
     def test_identity_linear(self):
         w = T.Tensor(np.eye(3))
         b = T.Tensor(np.zeros(3))
-        x = T.Tensor([0.1, -0.7, 2.0])
+        x = T.Tensor([[0.1, -0.7, 2.0]])
         out = L.dense_forward(w, b, x, "linear")
-        assert out.shape == (3,)
+        assert out.shape == (1, 3)
         assert np.allclose(out.array, x.array)
 
     def test_softmax_head_sums_to_one(self):
         rng = np.random.default_rng(13)
         w = T.Tensor(rng.uniform(-1, 1, (3, 5)))
         b = T.Tensor(rng.uniform(-1, 1, 3))
-        out = L.dense_forward(w, b, T.Tensor(rng.uniform(-1, 1, 5)), "softmax")
+        out = L.dense_forward(w, b, T.Tensor(rng.uniform(-1, 1, (1, 5))), "softmax")
         assert abs(out.array.sum() - 1.0) <= 1e-12
 
     def test_gradient(self):

@@ -66,7 +66,7 @@ class TestLstmClassifier:
 
         def loss_fn():
             out = model.forward_batch(tokens)
-            return model.training_loss(out, [1])
+            return model.losses(out, [1])[0]
 
         assert check_gradients(loss_fn, [t for _, t in model.named_tensors()]) <= 1e-4
 
@@ -98,7 +98,7 @@ class TestBiLstmClassifier:
         tokens = np.array([[2, 4, 6]])
 
         def loss_fn():
-            return model.training_loss(model.forward_batch(tokens), [0])
+            return model.losses(model.forward_batch(tokens), [0])[0]
 
         assert check_gradients(loss_fn, [t for _, t in model.named_tensors()]) <= 1e-4
 
@@ -216,7 +216,7 @@ class TestTlaNet:
         tokens = np.array([[2, 4, 7]])
 
         def loss_fn():
-            return model.training_loss(model.forward_batch(tokens), [1])
+            return model.losses(model.forward_batch(tokens), [1])[0]
 
         assert check_gradients(loss_fn, [t for _, t in model.named_tensors()]) <= 1e-3
 

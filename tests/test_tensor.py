@@ -60,20 +60,32 @@ class TestActivations:
     def test_fixed_points(self):
         x = T.Tensor([0.0, -3.0])
         assert T.tanh(x).array[0] == 0.0
-        assert T.sigmoid(x).array[0] == 0.5
-        assert T.relu(x).array[1] == 0.0
+        assert T.activation(x, "relu").array[1] == 0.0
 
     def test_sigmoid_symmetry(self):
+        # the one sigmoid is lstm_layer's gate: one step from the zero state,
+        # with the output and candidate gates saturated at 1, leaves
+        # h = tanh(sigmoid(input gate bias))
         rng = np.random.default_rng(1)
         xs = rng.uniform(-20, 20, 200)
-        total = T.sigmoid(T.Tensor(xs)).array + T.sigmoid(T.Tensor(-xs)).array
+
+        def input_gate(bias):
+            hidden = bias.size
+            b = np.concatenate([bias, np.zeros(hidden), np.full(2 * hidden, 40.0)])
+            w = T.Tensor(np.zeros((4 * hidden, 1)))
+            u = T.Tensor(np.zeros((4 * hidden, hidden)))
+            [h] = T.lstm_layer(T.Tensor(np.zeros((1, 1, 1))), [w], [u], [T.Tensor(b)],
+                               last_only=True)
+            return np.arctanh(h.array[0])
+
+        total = input_gate(xs) + input_gate(-xs)
         assert np.allclose(total, 1.0, atol=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown activation"):
             T.activation(T.Tensor([1.0]), "gelu")
 
-    @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "relu"])
+    @pytest.mark.parametrize("kind", ["tanh", "relu"])
     def test_gradients(self, kind):
         rng = np.random.default_rng(2)
         x = T.Tensor(rng.uniform(-2, 2, (3, 4)) + 0.1, requires_grad=True)
@@ -716,9 +728,9 @@ class TestLstmLayerBlocking:
 
 class TestGradcheckCoverage:
     # public names of the tensor module that are not differentiable ops;
-    # activation is the dispatcher behind tanh, sigmoid and relu, which are
-    # each checked under their own name
-    NOT_OPS = {"scalar_recurrence", "recurrence_trajectory", "recurrence_regime", "activation"}
+    # activation is the dispatcher behind tanh and relu, which are each
+    # checked under their own name
+    NOT_OPS = {"recurrence_trajectory", "recurrence_regime", "activation"}
 
     def test_every_differentiable_op_has_a_check(self):
         ops = {name for name in T.__all__
@@ -729,21 +741,21 @@ class TestGradcheckCoverage:
 
 class TestScalarRecurrence:
     def test_identity_weight(self):
-        assert T.scalar_recurrence(T.ScalarRecurrence(1.0, 7.0, 100)) == 7.0
+        assert T.recurrence_trajectory(T.ScalarRecurrence(1.0, 7.0, 100))[-1] == 7.0
 
     def test_growth_exact(self):
-        assert T.scalar_recurrence(T.ScalarRecurrence(2.0, 1.0, 10)) == 1024.0
+        assert T.recurrence_trajectory(T.ScalarRecurrence(2.0, 1.0, 10))[-1] == 1024.0
 
     def test_decay_exact(self):
-        assert T.scalar_recurrence(T.ScalarRecurrence(0.5, 1.0, 10)) == 0.0009765625
+        assert T.recurrence_trajectory(T.ScalarRecurrence(0.5, 1.0, 10))[-1] == 0.0009765625
 
     def test_trajectory_matches_closed_form(self):
         traj = T.recurrence_trajectory(T.ScalarRecurrence(2.0, 3.0, 8))
         assert traj == [3.0 * 2.0 ** i for i in range(9)]
 
     def test_dichotomy_at_long_horizon(self):
-        grow = T.scalar_recurrence(T.ScalarRecurrence(2.0, 1.0, 200))
-        decay = T.scalar_recurrence(T.ScalarRecurrence(0.5, 1.0, 200))
+        grow = T.recurrence_trajectory(T.ScalarRecurrence(2.0, 1.0, 200))[-1]
+        decay = T.recurrence_trajectory(T.ScalarRecurrence(0.5, 1.0, 200))[-1]
         assert abs(grow) > 1e12
         assert abs(decay) < 1e-12
 

@@ -77,23 +77,29 @@ def same_head(a, b):
             and a.bias.values.tobytes() == b.bias.values.tobytes())
 
 
+def classify_one(head, x, theta):
+    """``classify_batch``'s decision for one feature vector, passed as a one-row batch."""
+    [decision] = W.classify_batch(head, np.asarray(x, dtype=np.float64)[None, :], theta)
+    return decision
+
+
 class TestClassify:
     def test_confident_example_accepted(self):
         head = head_reproducing([0.9, 0.05, 0.05])
         x = np.log([0.9, 0.05, 0.05])
-        assert W.wisdomnet_classify(head, x, 0.5) == 0
+        assert classify_one(head, x, 0.5) == 0
 
     def test_uncertain_example_rejected(self):
         head = head_reproducing([0.4, 0.3, 0.3])
         x = np.log([0.4, 0.3, 0.3])
-        decision = W.wisdomnet_classify(head, x, 0.5)
+        decision = classify_one(head, x, 0.5)
         assert W.is_rejected(decision)
 
     def test_theta_zero_never_rejects(self):
         rng = np.random.default_rng(0)
         head = random_head(rng)
         for _ in range(100):
-            decision = W.wisdomnet_classify(head, rng.uniform(-5, 5, 4), 0.0)
+            decision = classify_one(head, rng.uniform(-5, 5, 4), 0.0)
             assert not W.is_rejected(decision)
 
     def test_rejection_monotone_in_theta(self):
@@ -102,7 +108,7 @@ class TestClassify:
             head = random_head(rng)
             x = rng.uniform(-3, 3, 4)
             thetas = np.sort(rng.uniform(0, 1, 5))
-            rejected = [W.is_rejected(W.wisdomnet_classify(head, x, t)) for t in thetas]
+            rejected = [W.is_rejected(classify_one(head, x, t)) for t in thetas]
             # once rejected, stays rejected for every larger threshold
             assert rejected == sorted(rejected)
 
@@ -110,12 +116,12 @@ class TestClassify:
         rng = np.random.default_rng(2)
         head = random_head(rng, classes=4)
         for _ in range(50):
-            decision = W.wisdomnet_classify(head, rng.uniform(-5, 5, 4), 0.25)
+            decision = classify_one(head, rng.uniform(-5, 5, 4), 0.25)
             assert not W.is_rejected(decision)
 
     def test_tie_breaks_to_lowest_index(self):
         head = W.WisdomNetHead(T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros(3)))
-        assert W.wisdomnet_classify(head, [1.0, 1.0], 0.0) == 0
+        assert classify_one(head, [1.0, 1.0], 0.0) == 0
 
     def test_argmax_invariant_to_logit_shift(self):
         rng = np.random.default_rng(3)
@@ -126,17 +132,18 @@ class TestClassify:
         )
         for _ in range(50):
             x = rng.uniform(-3, 3, 4)
-            assert W.wisdomnet_classify(head, x, 0.0) == W.wisdomnet_classify(shifted, x, 0.0)
+            assert classify_one(head, x, 0.0) == classify_one(shifted, x, 0.0)
 
     def test_feature_width_checked(self):
         head = random_head(np.random.default_rng(4))
         with pytest.raises(T.ShapeError, match="feature width"):
-            W.wisdomnet_classify(head, [1.0, 2.0], 0.5)
+            classify_one(head, [1.0, 2.0], 0.5)
 
     def test_invalid_threshold(self):
         head = random_head(np.random.default_rng(5))
-        with pytest.raises(ValueError):
-            W.wisdomnet_classify(head, np.zeros(4), 1.5)
+        for theta in (1.5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="threshold"):
+                classify_one(head, np.zeros(4), theta)
 
 
 class TestTraining:

@@ -31,6 +31,20 @@ class TestPairLoss:
         opposed = W2V.pair_loss(model, 2, 3, [4, 5, 6])
         assert aligned < opposed
 
+    def test_batch_update_returns_mean_pair_loss_before_update(self):
+        # criterion 8's reference, tied to the loss that training reports
+        rng = np.random.default_rng(12)
+        model = tiny_model(vocab=12, dim=4, k=3, seed=5)
+        model.w_out[1:] = rng.normal(scale=0.5, size=(11, 4))
+        for _ in range(10):
+            centers = rng.integers(1, 12, 16)  # repeats, no padding id
+            contexts = rng.integers(1, 12, 16)
+            negs = rng.integers(1, 12, (16, 3))
+            expected = np.mean([W2V.pair_loss(model, c, o, n)
+                                for c, o, n in zip(centers, contexts, negs)])
+            loss = W2V._batch_update(model, centers, contexts, negs, 0.05)
+            assert math.isclose(loss, expected, rel_tol=1e-12)
+
 
 class TestInit:
     def test_vocab_too_small_for_negatives(self):
