@@ -65,12 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_with_overrides(args) -> "experiment.ExperimentConfig":
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+    return load_config(args.config, seed=args.seed, out_dir=args.out)
 
 
 def cmd_train(args) -> int:
@@ -104,6 +99,8 @@ def cmd_augment(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
     report = gradcheck.run_checks(gradcheck.suite_for_scope(args.scope, args.seed))
     print("\n".join(report.lines()))
     print(f"{len(report.results)} checks in {report.elapsed:.2f}s")

@@ -1,5 +1,8 @@
 """Experiment configuration: a JSON file with a schema version and strict validation.
 
+Each setting is declared once, as a field of its section's dataclass: its
+default, the check that reads its JSON value and, where it differs from the
+field's name, its JSON key. One reader walks those fields for every section.
 Every validation failure names the offending field with a dotted path, so
 the CLI can fail fast with an actionable message and exit code 2.
 """
@@ -7,10 +10,13 @@ the CLI can fail fast with an actionable message and exit code 2.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 
-from .models import MODEL_KINDS, REMOVED_OPTIONS
+from .augment import NOISE_OPERATIONS
+from .models import MODEL_KINDS, REMOVED_OPTIONS, ClassifierConfig
 from .synthetic import builtin_dataset_path
 from .text import LABELS
 
@@ -36,88 +42,191 @@ def resolve_dataset_path(path: str, field_path: str) -> str:
         raise ConfigError(field_path, str(exc)) from None
 
 
-def _require(mapping: dict, key: str, kind, path: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}{key}", "is required")
-        return default
-    value = mapping[key]
+def _key(f) -> str:
+    return f.metadata.get("key") or f.name
+
+
+def _section(cls, raw, path: str = ""):
+    """Read one section: each field from its JSON key through its check, else its default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
+    values = {}
+    for f in fields(cls):
+        key = _key(f)
+        where = f"{path}.{key}" if path else key
+        if key in raw:
+            values[f.name] = f.metadata["check"](raw[key], where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(where, "is required")
+    return cls(**values)
+
+
+def _setting(default=MISSING, check=None, key: str | None = None):
+    """A config field: its default, the check that reads its JSON value and its
+    JSON key where that is not the field's name. A section class as the
+    default is read as a nested section."""
+    if is_dataclass(default):
+        check = partial(_section, default)
+    metadata = {"check": check, "key": key}
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _typed(kind, value, path):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{path}{key}", f"expected {kind.__name__}, got {type(value).__name__}")
+        raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _text(value, path):
+    return _typed(str, value, path)
+
+
+def _text_or_none(value, path):
+    return value if value is None else _typed(str, value, path)
+
+
+def _count(lo: int = 1):
+    def check(value, path):
+        if _typed(int, value, path) < lo:
+            raise ConfigError(path, f"must be at least {lo}, got {value}")
+        return value
+
+    return check
+
+
+def _positive(value, path):
+    value = _typed(float, value, path)
+    if not 0.0 < value < math.inf:
+        raise ConfigError(path, f"must be positive and finite, got {value}")
+    return value
+
+
+def _rate(hi: float = 1.0):
+    def check(value, path):
+        value = _typed(float, value, path)
+        if not 0.0 <= value <= hi:
+            raise ConfigError(path, f"must be in [0.0, {hi}], got {value}")
+        return value
+
+    return check
+
+
+def _num_classes(value, path):
+    # every corpus row carries one of the fixed labels, so the class count is theirs
+    if _typed(int, value, path) != len(LABELS):
+        raise ConfigError(path, f"must be {len(LABELS)}, one per label ({', '.join(LABELS)}), got {value}")
+    return value
+
+
+def _choice(*known: str):
+    def check(value, path):
+        if _typed(str, value, path) not in known:
+            raise ConfigError(path, f"unknown kind {value!r}; expected one of {known}")
+        return value
+
+    return check
+
+
+def _names(*known: str):
+    """A non-empty list of known names; all of them by default."""
+
+    def check(value, path):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, f"expected a non-empty list of names from {known}")
+        for name in value:
+            if name not in known:
+                raise ConfigError(path, f"unknown name {name!r}; expected names from {known}")
+        return tuple(value)
+
+    return _setting(known, check)
+
+
+def _splits(value, path):
+    """language -> {"train": path, "test": path}"""
+    for lang, per_split in _typed(dict, value, path).items():
+        for split, file in _typed(dict, per_split, f"{path}.{lang}").items():
+            _typed(str, file, f"{path}.{lang}.{split}")
     return value
 
 
 @dataclass
 class ClassifierSection:
-    max_vocab: int = 2000
-    min_freq: int = 1
-    embed_dim: int = 32
-    hidden_size: int = 128
-    num_layers: int = 3
-    dropout: float = 0.2
-    num_classes: int = 3
-    max_len: int = 128
-    head_hidden: int = 32
+    max_vocab: int = _setting(2000, _count())
+    min_freq: int = _setting(1, _count())
+    embed_dim: int = _setting(ClassifierConfig.embed_dim, _count())
+    hidden_size: int = _setting(ClassifierConfig.hidden_size, _count())
+    num_layers: int = _setting(ClassifierConfig.num_layers, _count())
+    dropout: float = _setting(ClassifierConfig.dropout, _rate(0.999))
+    num_classes: int = _setting(ClassifierConfig.num_classes, _num_classes)
+    max_len: int = _setting(ClassifierConfig.max_len, _count())
+    head_hidden: int = _setting(ClassifierConfig.head_hidden, _count())
 
 
 @dataclass
 class OptimizerSection:
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    epochs: int = 50
+    learning_rate: float = _setting(0.001, _positive)
+    batch_size: int = _setting(32, _count())
+    epochs: int = _setting(50, _count())
 
 
 @dataclass
 class HeadSection:
-    epochs: int = 200
-    learning_rate: float = 0.1
+    epochs: int = _setting(200, _count())
+    learning_rate: float = _setting(0.1, _positive)
 
 
 @dataclass
 class Word2VecSection:
-    embed_dim: int = 32
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    batch_size: int = 128
-    lr_start: float = 0.025
-    lr_end: float = 0.001
+    embed_dim: int = _setting(32, _count())
+    window: int = _setting(5, _count())
+    negatives: int = _setting(5, _count())
+    epochs: int = _setting(5, _count())
+    batch_size: int = _setting(128, _count())
+    lr_start: float = _setting(0.025, _positive)
+    lr_end: float = _setting(0.001, _positive)
 
 
 @dataclass
 class TranslatorSection:
-    kind: str = "mock"  # or "http"
-    mapping_path: str | None = None
-    url: str | None = None
-    api_key: str | None = None
-    max_retries: int = 3
+    kind: str = _setting("mock", _choice("mock", "http"))
+    mapping_path: str | None = _setting(None, _text_or_none)
+    url: str | None = _setting(None, _text_or_none)
+    api_key: str | None = _setting(None, _text_or_none)
+    max_retries: int = _setting(3, _count(0))
+
+    def __post_init__(self):
+        # the environment fills in the endpoint and key a config leaves out
+        self.url = self.url or os.environ.get("TLA_TRANSLATE_URL")
+        self.api_key = self.api_key or os.environ.get("TLA_TRANSLATE_KEY")
 
 
 @dataclass
 class AugmentationSection:
-    raw: dict = field(default_factory=dict)  # language -> {"train": path, "test": path}
-    build: tuple[str, ...] = ("semi-noisy", "fully-translated")
-    noise_probability: float = 0.1
-    noise_operations: tuple[str, ...] = ("swap-adjacent", "delete", "duplicate")
-    translator: TranslatorSection = field(default_factory=TranslatorSection)
+    raw: dict = _setting(dict, _splits)
+    build: tuple[str, ...] = _names("semi-noisy", "fully-translated")
+    noise_probability: float = _setting(0.1, _rate())
+    noise_operations: tuple[str, ...] = _names(*NOISE_OPERATIONS)
+    translator: TranslatorSection = _setting(TranslatorSection)
 
 
 @dataclass
 class ExperimentConfig:
-    model: str
-    datasets: dict  # language -> {"train": path, "test": path}
-    language: str = "english"
-    classifier: ClassifierSection = field(default_factory=ClassifierSection)
-    optimizer: OptimizerSection = field(default_factory=OptimizerSection)
-    head: HeadSection = field(default_factory=HeadSection)
-    word2vec: Word2VecSection = field(default_factory=Word2VecSection)
-    augmentation: AugmentationSection = field(default_factory=AugmentationSection)
-    recon_weight: float = 0.5
-    threshold: float = 0.5
-    seed: int = 0
-    out_dir: str = "runs/default"
+    model: str = _setting(check=_choice(*MODEL_KINDS))
+    datasets: dict = _setting(dict, _splits)
+    language: str = _setting("english", _text)
+    classifier: ClassifierSection = _setting(ClassifierSection)
+    optimizer: OptimizerSection = _setting(OptimizerSection)
+    head: HeadSection = _setting(HeadSection, key="rejection_head")
+    word2vec: Word2VecSection = _setting(Word2VecSection)
+    augmentation: AugmentationSection = _setting(AugmentationSection)
+    recon_weight: float = _setting(0.5, _rate(1e9))
+    threshold: float = _setting(0.5, _rate())
+    seed: int = _setting(0, _count(0))
+    out_dir: str = _setting("runs/default", _text)
 
     def train_path(self) -> str:
         per_lang = self.datasets.get(self.language)
@@ -141,139 +250,39 @@ class ExperimentConfig:
                 if not os.path.exists(path):
                     raise ConfigError(f"augmentation.raw.{lang}.{split}",
                                       f"path does not exist: {path}")
-        for item in self.augmentation.build:
-            if item not in ("semi-noisy", "fully-translated"):
-                raise ConfigError("augmentation.build", f"unknown corpus kind {item!r}")
 
     def snapshot(self) -> dict:
-        """JSON-serializable copy of the whole config for manifests."""
+        """The config as a JSON object that ``config_from_dict`` reads back, for
+        manifests; the translator's API key is left out."""
 
         def unfold(obj):
-            if hasattr(obj, "__dataclass_fields__"):
-                return {k: unfold(getattr(obj, k)) for k in obj.__dataclass_fields__}
-            if isinstance(obj, dict):
-                return {k: unfold(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [unfold(v) for v in obj]
-            return obj
+            if is_dataclass(obj):
+                return {_key(f): unfold(getattr(obj, f.name)) for f in fields(obj)}
+            return list(obj) if isinstance(obj, tuple) else obj
 
         snap = unfold(self)
+        snap["augmentation"]["translator"]["api_key"] = None
         snap["schema_version"] = SCHEMA_VERSION
         return snap
-
-
-def _positive(value, path, strict=True):
-    if value is None:
-        return value
-    if strict and value <= 0 or value < 0:
-        raise ConfigError(path, f"must be positive, got {value}")
-    return value
-
-
-def _num_classes(value):
-    # every corpus row carries one of the fixed labels, so the class count is theirs
-    if value != len(LABELS):
-        raise ConfigError("classifier.num_classes",
-                          f"must be {len(LABELS)}, one per label ({', '.join(LABELS)}), got {value}")
-    return value
-
-
-def _rate(value, path, lo=0.0, hi=1.0):
-    if not lo <= value <= hi:
-        raise ConfigError(path, f"must be in [{lo}, {hi}], got {value}")
-    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("", "top level must be a JSON object")
-    version = _require(raw, "schema_version", int, "", required=True)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-    model = _require(raw, "model", str, "", required=True)
-    if model not in MODEL_KINDS:
-        raise ConfigError("model", f"unknown kind {model!r}; expected one of {MODEL_KINDS}")
-    datasets = _require(raw, "datasets", dict, "", default={})
-    for lang, per_split in datasets.items():
-        if not isinstance(per_split, dict):
-            raise ConfigError(f"datasets.{lang}", "expected an object of split paths")
-
-    c = raw.get("classifier", {})
+    version = raw.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    classifier = raw.get("classifier")
     for key, kept in REMOVED_OPTIONS.items():
-        if key in c:
+        if isinstance(classifier, dict) and key in classifier:
             # unknown keys are otherwise ignored, which would quietly change what this one meant
             raise ConfigError(f"classifier.{key}", f"was removed; every model now behaves as {kept!r} did")
-    cls = ClassifierSection(
-        max_vocab=_positive(_require(c, "max_vocab", int, "classifier.", 2000), "classifier.max_vocab"),
-        min_freq=_positive(_require(c, "min_freq", int, "classifier.", 1), "classifier.min_freq"),
-        embed_dim=_positive(_require(c, "embed_dim", int, "classifier.", 32), "classifier.embed_dim"),
-        hidden_size=_positive(_require(c, "hidden_size", int, "classifier.", 128), "classifier.hidden_size"),
-        num_layers=_positive(_require(c, "num_layers", int, "classifier.", 3), "classifier.num_layers"),
-        dropout=_rate(_require(c, "dropout", float, "classifier.", 0.2), "classifier.dropout", hi=0.999),
-        num_classes=_num_classes(_require(c, "num_classes", int, "classifier.", len(LABELS))),
-        max_len=_positive(_require(c, "max_len", int, "classifier.", 128), "classifier.max_len"),
-        head_hidden=_positive(_require(c, "head_hidden", int, "classifier.", 32), "classifier.head_hidden"),
-    )
-    o = raw.get("optimizer", {})
-    opt = OptimizerSection(
-        learning_rate=_positive(_require(o, "learning_rate", float, "optimizer.", 0.001),
-                                "optimizer.learning_rate"),
-        batch_size=_positive(_require(o, "batch_size", int, "optimizer.", 32), "optimizer.batch_size"),
-        epochs=_positive(_require(o, "epochs", int, "optimizer.", 50), "optimizer.epochs"),
-    )
-    h = raw.get("rejection_head", {})
-    head = HeadSection(
-        epochs=_positive(_require(h, "epochs", int, "rejection_head.", 200), "rejection_head.epochs"),
-        learning_rate=_positive(_require(h, "learning_rate", float, "rejection_head.", 0.1),
-                                "rejection_head.learning_rate"),
-    )
-    w = raw.get("word2vec", {})
-    w2v = Word2VecSection(
-        embed_dim=_positive(_require(w, "embed_dim", int, "word2vec.", 32), "word2vec.embed_dim"),
-        window=_positive(_require(w, "window", int, "word2vec.", 5), "word2vec.window"),
-        negatives=_positive(_require(w, "negatives", int, "word2vec.", 5), "word2vec.negatives"),
-        epochs=_positive(_require(w, "epochs", int, "word2vec.", 5), "word2vec.epochs"),
-        batch_size=_positive(_require(w, "batch_size", int, "word2vec.", 128), "word2vec.batch_size"),
-        lr_start=_positive(_require(w, "lr_start", float, "word2vec.", 0.025), "word2vec.lr_start"),
-        lr_end=_positive(_require(w, "lr_end", float, "word2vec.", 0.001), "word2vec.lr_end"),
-    )
-    a = raw.get("augmentation", {})
-    t = a.get("translator", {})
-    translator = TranslatorSection(
-        kind=_require(t, "kind", str, "augmentation.translator.", "mock"),
-        mapping_path=t.get("mapping_path"),
-        url=t.get("url") or os.environ.get("TLA_TRANSLATE_URL"),
-        api_key=t.get("api_key") or os.environ.get("TLA_TRANSLATE_KEY"),
-        max_retries=_require(t, "max_retries", int, "augmentation.translator.", 3),
-    )
-    if translator.kind not in ("mock", "http"):
-        raise ConfigError("augmentation.translator.kind", f"must be mock or http, got {translator.kind!r}")
-    aug = AugmentationSection(
-        raw=a.get("raw", {}),
-        build=tuple(a.get("build", ("semi-noisy", "fully-translated"))),
-        noise_probability=_rate(_require(a, "noise_probability", float, "augmentation.", 0.1),
-                                "augmentation.noise_probability"),
-        noise_operations=tuple(a.get("noise_operations", ("swap-adjacent", "delete", "duplicate"))),
-        translator=translator,
-    )
-    cfg = ExperimentConfig(
-        model=model,
-        datasets=datasets,
-        language=_require(raw, "language", str, "", "english"),
-        classifier=cls,
-        optimizer=opt,
-        head=head,
-        word2vec=w2v,
-        augmentation=aug,
-        recon_weight=_rate(_require(raw, "recon_weight", float, "", 0.5), "recon_weight", hi=1e9),
-        threshold=_rate(_require(raw, "threshold", float, "", 0.5), "threshold"),
-        seed=_require(raw, "seed", int, "", 0),
-        out_dir=_require(raw, "out_dir", str, "", "runs/default"),
-    )
-    return cfg
+    return _section(ExperimentConfig, raw)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Read a config file. Each override that is not None replaces its
+    top-level key before the checks run, so it is checked as the file is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -281,4 +290,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("<config>", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from None
+    if isinstance(raw, dict):
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     return config_from_dict(raw)

@@ -8,6 +8,7 @@ renamed, so a failed command never leaves partial artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,12 +47,9 @@ def _sha256_file(path) -> str:
 
 
 def _classifier_config(cfg: ExperimentConfig, vocab_size: int) -> M.ClassifierConfig:
-    c = cfg.classifier
-    return M.ClassifierConfig(
-        vocab_size=vocab_size, embed_dim=c.embed_dim, hidden_size=c.hidden_size,
-        num_layers=c.num_layers, dropout=c.dropout, num_classes=c.num_classes,
-        max_len=c.max_len, seed=cfg.seed, head_hidden=c.head_hidden,
-    )
+    model_fields = {f.name for f in dataclasses.fields(M.ClassifierConfig)}
+    shared = {k: v for k, v in vars(cfg.classifier).items() if k in model_fields}
+    return M.ClassifierConfig(vocab_size=vocab_size, seed=cfg.seed, **shared)
 
 
 def _w2v_feature_matrix(model: W2V.Word2VecModel, tokens: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ absolute error near zero.
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,45 +110,50 @@ def _rand(rng, shape):
     return T.Tensor(rng.uniform(-2.0, 2.0, shape), requires_grad=True)
 
 
+def _seeded(seed: int, name: str, check):
+    """``check`` run on a generator of its own, seeded from the suite seed and
+    the check's name, so its inputs do not depend on which checks run before it."""
+    return lambda: check(np.random.default_rng([seed, zlib.crc32(name.encode())]))
+
+
 def ops_suite(seed: int = 0) -> list[tuple[str, object, float]]:
-    rng = np.random.default_rng(seed)
     checks = []
 
     def fd(name, builder):
-        def thunk():
-            params, fn = builder()
+        def check(rng):
+            params, fn = builder(rng)
             return check_gradients(fn, params)
 
-        checks.append((name, thunk, OP_TOLERANCE))
+        checks.append((name, _seeded(seed, name, check), OP_TOLERANCE))
 
-    fd("op.add", lambda: _binary(rng, T.add))
-    fd("op.sub", lambda: _binary(rng, T.sub))
-    fd("op.mul", lambda: _binary(rng, T.mul))
-    fd("op.scale", lambda: _unary(rng, lambda x: T.scale(x, -1.7)))
-    fd("op.add_bias", lambda: _bias(rng))
-    fd("op.linear", lambda: _linear(rng))
-    fd("op.tanh", lambda: _unary(rng, T.tanh))
-    fd("op.relu", lambda: _unary(rng, lambda x: T.activation(x, "relu"), offset=0.3))
-    fd("op.softmax_rows", lambda: _softmax_rows(rng))
-    fd("op.concat", lambda: _concat(rng))
-    fd("op.weighted_sum", lambda: _weighted_sum(rng))
-    fd("op.reshape", lambda: _unary(rng, lambda x: T.reshape(x, (x.size,))))
-    fd("op.total_sum", lambda: _unary(rng, T.total_sum))
-    fd("op.take_per_row", lambda: _take_per_row(rng))
-    fd("op.clip_log", lambda: _clip_log(rng))
-    fd("op.lookup_rows", lambda: _lookup(rng))
-    fd("op.dropout", lambda: _dropout(rng))
-    fd("op.lstm_layer", lambda: _lstm_layers(rng, layers=1))
-    fd("op.lstm_layer[2 layers]", lambda: _lstm_layers(rng, layers=2, last_only=True))
-    fd("op.lstm_layer[repeat vector]", lambda: _lstm_layers(rng, layers=1, repeat=True))
+    fd("op.add", lambda rng: _binary(rng, T.add))
+    fd("op.sub", lambda rng: _binary(rng, T.sub))
+    fd("op.mul", lambda rng: _binary(rng, T.mul))
+    fd("op.scale", lambda rng: _unary(rng, lambda x: T.scale(x, -1.7)))
+    fd("op.add_bias", _bias)
+    fd("op.linear", _linear)
+    fd("op.tanh", lambda rng: _unary(rng, T.tanh))
+    fd("op.relu", lambda rng: _unary(rng, lambda x: T.activation(x, "relu"), offset=0.3))
+    fd("op.softmax_rows", _softmax_rows)
+    fd("op.concat", _concat)
+    fd("op.weighted_sum", _weighted_sum)
+    fd("op.reshape", lambda rng: _unary(rng, lambda x: T.reshape(x, (x.size,))))
+    fd("op.total_sum", lambda rng: _unary(rng, T.total_sum))
+    fd("op.take_per_row", _take_per_row)
+    fd("op.clip_log", _clip_log)
+    fd("op.lookup_rows", _lookup)
+    fd("op.dropout", _dropout)
+    fd("op.lstm_layer", lambda rng: _lstm_layers(rng, layers=1))
+    fd("op.lstm_layer[2 layers]", lambda rng: _lstm_layers(rng, layers=2, last_only=True))
+    fd("op.lstm_layer[repeat vector]", lambda rng: _lstm_layers(rng, layers=1, repeat=True))
     # one row sends the layer's (4H, H) @ (H, 1) products through BLAS's vector kernels
-    fd("op.lstm_layer[batch 1]", lambda: _lstm_layers(rng, layers=1, batch=1))
-    fd("op.lstm_layer[3 branches]", lambda: _lstm_branches(rng, repeat=False))
-    fd("op.lstm_layer[3 branches, repeat vector]", lambda: _lstm_branches(rng, repeat=True))
-    fd("op.lstm_layer[mixed lengths]", lambda: _lstm_layers(rng, layers=2, batch=4, mixed=True))
+    fd("op.lstm_layer[batch 1]", lambda rng: _lstm_layers(rng, layers=1, batch=1))
+    fd("op.lstm_layer[3 branches]", lambda rng: _lstm_branches(rng, repeat=False))
+    fd("op.lstm_layer[3 branches, repeat vector]", lambda rng: _lstm_branches(rng, repeat=True))
+    fd("op.lstm_layer[mixed lengths]", lambda rng: _lstm_layers(rng, layers=2, batch=4, mixed=True))
     fd("op.lstm_layer[3 branches, repeat vector, mixed lengths]",
-       lambda: _lstm_branches(rng, repeat=True, mixed=True))
-    fd("op.take_rows", lambda: _take_rows(rng))
+       lambda rng: _lstm_branches(rng, repeat=True, mixed=True))
+    fd("op.take_rows", _take_rows)
     return checks
 
 
@@ -287,10 +293,7 @@ def _lstm_branches(rng, repeat: bool, branches: int = 3, mixed: bool = False):
 def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     from . import layers as L
 
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def stack_check():
+    def stack_check(rng):
         p = L.StackedLSTMParams.init(input_size=3, hidden_size=3, num_layers=2, dropout=0.0, rng=rng)
         xs = T.constant(rng.uniform(-1, 1, (4, 2, 3)))
 
@@ -300,9 +303,7 @@ def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
 
         return check_gradients(loss_fn, list(p.tensors()))
 
-    checks.append(("layer.stacked_lstm", stack_check, LAYER_TOLERANCE))
-
-    def dense_check():
+    def dense_check(rng):
         p = L.DenseParams.init(3, 4, rng=rng)
         x = T.constant(rng.uniform(-1, 1, (2, 3)))
 
@@ -311,9 +312,7 @@ def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
 
         return check_gradients(loss_fn, [p.weights, p.bias])
 
-    checks.append(("layer.dense", dense_check, OP_TOLERANCE))
-
-    def embed_check():
+    def embed_check(rng):
         table = L.EmbeddingTable.init(vocab_size=7, embed_dim=3, rng=rng)
         ids = np.array([2, 3, 3, 6])
         c = T.constant(rng.uniform(-1, 1, (4, 3)))
@@ -323,14 +322,15 @@ def layers_suite(seed: int = 0) -> list[tuple[str, object, float]]:
 
         return check_gradients(loss_fn, [table.table])
 
-    checks.append(("layer.embedding", embed_check, OP_TOLERANCE))
-    return checks
+    checks = [("layer.stacked_lstm", stack_check, LAYER_TOLERANCE),
+              ("layer.dense", dense_check, OP_TOLERANCE),
+              ("layer.embedding", embed_check, OP_TOLERANCE)]
+    return [(name, _seeded(seed, name, check), tol) for name, check, tol in checks]
 
 
 def models_suite(seed: int = 0) -> list[tuple[str, object, float]]:
     from . import models as M
 
-    rng = np.random.default_rng(seed)
     cfg = M.ClassifierConfig(
         vocab_size=8, embed_dim=3, hidden_size=2, num_layers=1,
         dropout=0.0, num_classes=3, max_len=3, seed=seed, head_hidden=3,

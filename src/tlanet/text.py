@@ -231,17 +231,12 @@ def _parse_trac2(fh, language: str, name: str) -> DatasetSplit:
     return DatasetSplit(name, examples)
 
 
-def write_corpus(path, examples: list[LabeledExample], with_provenance: bool = True) -> None:
+def write_corpus(path, examples: list[LabeledExample]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if with_provenance:
-            writer.writerow(["id", "text", "label", "language", "provenance"])
-            for ex in examples:
-                writer.writerow([ex.id, ex.text, ex.label, ex.language, ex.provenance])
-        else:
-            writer.writerow(["id", "text", "label"])
-            for ex in examples:
-                writer.writerow([ex.id, ex.text, ex.label])
+        writer.writerow(["id", "text", "label", "language", "provenance"])
+        for ex in examples:
+            writer.writerow([ex.id, ex.text, ex.label, ex.language, ex.provenance])
 
 
 def stratified_split(split: DatasetSplit, train_fraction: float = 0.7,

@@ -10,6 +10,7 @@ import pytest
 
 from tlanet import checkpoint as CK
 from tlanet import cli
+from tlanet import config as C
 from tlanet import gradcheck as GC
 from tlanet import models as M
 from tlanet import tensor as T
@@ -18,6 +19,7 @@ from tlanet import wisdomnet as W
 from tlanet.word2vec import Word2VecModel
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(tmp_path, model="lstm", epochs=4, seed=11, name="config.json", **extra):
@@ -109,6 +111,25 @@ class TestTrainCommand:
                          "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_seed_override_checked_as_the_config_is(self, tmp_path, capsys):
+        config, _ = small_config(tmp_path)
+        err = expect_one_line_error(capsys, 2, ["train", "--config", str(config), "--seed", "-1"])
+        assert "config field 'seed'" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("source", ["environment", "config"])
+    def test_translator_key_in_no_output_file(self, tmp_path, monkeypatch, source):
+        key = "sekrit-123"
+        translator = {"kind": "http", "url": "http://localhost:9"}
+        if source == "environment":
+            monkeypatch.setenv("TLA_TRANSLATE_KEY", key)
+        else:
+            translator["api_key"] = key
+        config, _ = small_config(tmp_path, epochs=1, augmentation={"translator": translator})
+        assert cli.main(["train", "--config", str(config)]) == 0
+        written = [p for p in (tmp_path / "run").rglob("*") if p.is_file()]
+        assert written and not [p.name for p in written if key.encode() in p.read_bytes()]
 
     def test_byte_identical_reruns(self, tmp_path):
         config, _ = small_config(tmp_path, model="tla-net", epochs=3)
@@ -556,6 +577,11 @@ class TestGradcheckCommand:
         assert "worst offender op.corrupted_square" in out
 
 
+    def test_negative_seed_exit_2(self, capsys):
+        err = expect_one_line_error(capsys, 2, ["gradcheck", "--scope", "ops", "--seed", "-1"])
+        assert "'--seed'" in err
+
+
 class TestDemoRecurrence:
     def test_exploding(self, capsys):
         assert cli.main(["demo-recurrence", "--weight", "2", "--x0", "1",
@@ -592,3 +618,104 @@ class TestAugmentCommand:
                                               "test": str(tmp_path / "nope.csv")}},
                           "build": ["semi-noisy"]})
         assert cli.main(["augment", "--config", str(config)]) == 2
+
+
+def set_field(raw: dict, path: str, value) -> None:
+    """Set ``raw``'s field at a dotted path, making the objects on the way."""
+    *parents, last = path.split(".")
+    for key in parents:
+        raw = raw.setdefault(key, {})
+    raw[last] = value
+
+
+COUNTS = [f"classifier.{k}" for k in ("max_vocab", "min_freq", "embed_dim", "hidden_size",
+                                       "num_layers", "max_len", "head_hidden")] + [
+    "optimizer.batch_size", "optimizer.epochs", "rejection_head.epochs"] + [
+    f"word2vec.{k}" for k in ("embed_dim", "window", "negatives", "epochs", "batch_size")]
+RATES = ["optimizer.learning_rate", "rejection_head.learning_rate", "word2vec.lr_start",
+         "word2vec.lr_end"]
+TRANSLATOR = "augmentation.translator"
+
+# (field set, its value, the dotted path the message must name)
+MALFORMED = [
+    # whole sections that are not objects
+    ("classifier", 5, "classifier"),
+    ("optimizer", [], "optimizer"),
+    ("rejection_head", "fast", "rejection_head"),
+    ("word2vec", 3, "word2vec"),
+    ("augmentation", [1], "augmentation"),
+    (TRANSLATOR, "x", TRANSLATOR),
+    # top-level fields
+    ("model", 5, "model"),
+    ("model", "transformer", "model"),
+    ("datasets", 5, "datasets"),
+    ("datasets", {"english": 5}, "datasets.english"),
+    ("datasets", {"english": {"train": 5}}, "datasets.english.train"),
+    ("language", 5, "language"),
+    ("recon_weight", "half", "recon_weight"),
+    ("recon_weight", -1, "recon_weight"),
+    ("threshold", "half", "threshold"),
+    ("threshold", 1.5, "threshold"),
+    ("seed", 1.5, "seed"),
+    ("seed", -1, "seed"),
+    ("out_dir", 5, "out_dir"),
+    ("schema_version", "1", "schema_version"),
+    ("schema_version", 2, "schema_version"),
+    # every count: a wrong type and zero
+    *[(path, value, path) for path in COUNTS for value in ("8", 0)],
+    ("optimizer.epochs", True, "optimizer.epochs"),
+    ("classifier.embed_dim", 1.5, "classifier.embed_dim"),
+    # every positive rate: a wrong type and a value that is not positive
+    *[(path, value, path) for path in RATES for value in ("fast", 0, -0.1)],
+    ("classifier.dropout", "x", "classifier.dropout"),
+    ("classifier.dropout", 1.0, "classifier.dropout"),
+    ("classifier.num_classes", "3", "classifier.num_classes"),
+    ("classifier.num_classes", 4, "classifier.num_classes"),
+    # augmentation
+    ("augmentation.raw", 5, "augmentation.raw"),
+    ("augmentation.raw", {"english": {"train": 5}}, "augmentation.raw.english.train"),
+    ("augmentation.build", "semi-noisy", "augmentation.build"),
+    ("augmentation.build", [], "augmentation.build"),
+    ("augmentation.build", ["semi-noisy", "bogus"], "augmentation.build"),
+    ("augmentation.noise_probability", "x", "augmentation.noise_probability"),
+    ("augmentation.noise_probability", 1.5, "augmentation.noise_probability"),
+    ("augmentation.noise_operations", "delete", "augmentation.noise_operations"),
+    ("augmentation.noise_operations", ["bogus"], "augmentation.noise_operations"),
+    (f"{TRANSLATOR}.kind", 5, f"{TRANSLATOR}.kind"),
+    (f"{TRANSLATOR}.kind", "ftp", f"{TRANSLATOR}.kind"),
+    (f"{TRANSLATOR}.mapping_path", 5, f"{TRANSLATOR}.mapping_path"),
+    (f"{TRANSLATOR}.url", 5, f"{TRANSLATOR}.url"),
+    (f"{TRANSLATOR}.api_key", 5, f"{TRANSLATOR}.api_key"),
+    (f"{TRANSLATOR}.max_retries", "3", f"{TRANSLATOR}.max_retries"),
+    (f"{TRANSLATOR}.max_retries", -1, f"{TRANSLATOR}.max_retries"),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("field,value,named", MALFORMED,
+                             ids=[f"{f}={json.dumps(v)}" for f, v, _ in MALFORMED])
+    def test_exit_2_with_one_line_naming_the_field(self, tmp_path, capsys, field, value, named):
+        raw = {"english": {"train": "builtin:synthetic-train", "test": "builtin:synthetic-test"}}
+        config, cfg = small_config(tmp_path, augmentation={"raw": raw})
+        set_field(cfg, field, value)
+        config.write_text(json.dumps(cfg))
+        command = "augment" if field.startswith("augmentation") else "train"
+        err = expect_one_line_error(capsys, 2, [command, "--config", str(config)])
+        assert f"config field {named!r}:" in err
+        assert not (tmp_path / "run").exists()
+
+
+class TestConfigSnapshot:
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")) + ["every field"])
+    def test_snapshot_reads_back_as_the_same_config(self, tmp_path, name):
+        if name == "every field":
+            path, _ = small_config(tmp_path, augmentation={
+                "raw": {"hindi": {"train": "h.csv", "test": "t.csv"}}, "build": ["semi-noisy"],
+                "noise_probability": 0.25, "noise_operations": ["delete"],
+                "translator": {"kind": "http", "url": "http://localhost:9", "max_retries": 0}},
+                word2vec={"embed_dim": 8, "window": 2, "negatives": 3, "epochs": 2,
+                          "batch_size": 16, "lr_start": 0.5, "lr_end": 0.25})
+        else:
+            path = CONFIGS / name
+        cfg = C.load_config(path)
+        assert C.config_from_dict(json.loads(json.dumps(cfg.snapshot()))) == cfg

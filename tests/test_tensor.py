@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tlanet import tensor as T
-from tlanet.gradcheck import check_gradients, ops_suite
+from tlanet.gradcheck import check_gradients, layers_suite, ops_suite, run_checks
 
 
 class TestTensorBasics:
@@ -737,6 +737,15 @@ class TestGradcheckCoverage:
                if inspect.isfunction(getattr(T, name)) and name not in self.NOT_OPS}
         checked = {name.removeprefix("op.") for name, _, _ in ops_suite()}
         assert ops - checked == set()
+
+    @pytest.mark.parametrize("suite", [ops_suite, layers_suite])
+    def test_a_check_alone_reads_what_it_reads_in_its_suite(self, suite):
+        # each check draws its inputs from a generator of its own, so adding or
+        # dropping a check leaves every other check's inputs as they were
+        together = run_checks(suite())
+        for result in together.results:
+            [alone] = run_checks([c for c in suite() if c[0] == result.name]).results
+            assert alone.max_err == result.max_err, result.name
 
 
 class TestScalarRecurrence:
