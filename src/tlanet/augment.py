@@ -165,8 +165,19 @@ class OfflineMockTranslator:
 
     @classmethod
     def from_json(cls, path) -> "OfflineMockTranslator":
+        """Read a mapping file; ``ValueError`` unless it is a JSON object of
+        ``"src->dst"`` token maps whose tokens are strings."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+            try:
+                mapping = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"invalid JSON in {path}: {exc}") from None
+        if not isinstance(mapping, dict) or not all(
+                isinstance(table, dict) and all(isinstance(t, str) for t in table.values())
+                for table in mapping.values()):
+            raise ValueError(f'{path} must hold an object of "src->dst" token maps, '
+                             "each an object of token strings")
+        return cls(mapping)
 
     def translate(self, text: str, src: str, dst: str) -> str:
         table = self.mapping.get(f"{src}->{dst}", {})

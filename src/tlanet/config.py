@@ -47,9 +47,16 @@ def _key(f) -> str:
 
 
 def _section(cls, raw, path: str = ""):
-    """Read one section: each field from its JSON key through its check, else its default."""
+    """Read one section: each field from its JSON key through its check, else its
+    default. A key that no field declares is an error, so a misspelt setting
+    cannot quietly leave its default in place."""
     if not isinstance(raw, dict):
         raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
+    known = [_key(f) for f in fields(cls)]
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              f"unknown setting; expected one of {', '.join(known)}")
     values = {}
     for f in fields(cls):
         key = _key(f)
@@ -275,9 +282,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     classifier = raw.get("classifier")
     for key, kept in REMOVED_OPTIONS.items():
         if isinstance(classifier, dict) and key in classifier:
-            # unknown keys are otherwise ignored, which would quietly change what this one meant
+            # says what the removed option became, where an unknown key would not
             raise ConfigError(f"classifier.{key}", f"was removed; every model now behaves as {kept!r} did")
-    return _section(ExperimentConfig, raw)
+    return _section(ExperimentConfig, {k: v for k, v in raw.items() if k != "schema_version"})
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

@@ -298,7 +298,10 @@ def _build_translator(cfg: ExperimentConfig):
     t = cfg.augmentation.translator
     if t.kind == "mock":
         if t.mapping_path:
-            return A.OfflineMockTranslator.from_json(t.mapping_path)
+            try:
+                return A.OfflineMockTranslator.from_json(t.mapping_path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError("augmentation.translator.mapping_path", str(exc)) from None
         return A.OfflineMockTranslator()
     if not t.url:
         raise ConfigError("augmentation.translator.url",

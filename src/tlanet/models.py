@@ -536,22 +536,38 @@ def train_step(model: _SequenceModel, optimizer, tokens, labels,
     return class_loss.item(), recon.item() if recon is not None else 0.0
 
 
+# fit sorts each pool of this many batches by length before cutting them
+SORT_POOL_BATCHES = 4
+
+
 def fit(model: _SequenceModel, optimizer, tokens, labels, epochs: int, batch_size: int,
         recon_weight: float = 0.5, seed: int = 0, start_epoch: int = 0,
         on_epoch=None) -> list[list[float]]:
-    """Epoch loop over shuffled batches; returns [classification, reconstruction] per epoch.
+    """Epoch loop over shuffled, length-bucketed batches; returns [classification,
+    reconstruction] per epoch.
 
-    Shuffling and dropout draw from a generator derived from (seed, epoch),
-    so a resumed run replays exactly the same stream as an uninterrupted one.
-    Each batch runs as many steps as its longest comment (``forward_batch``).
+    Each epoch permutes the examples, splits the permutation into pools of
+    ``SORT_POOL_BATCHES`` batches, sorts each pool stably by comment
+    length, longest first, and cuts the batches in that order. A batch runs
+    as many steps as its longest comment (``forward_batch``), so comments
+    of like length share batches and run few pad steps; a corpus whose
+    comments all have one length keeps the permutation's batches. The
+    permutation and dropout draw from a generator derived from (seed,
+    epoch), so a resumed run replays exactly the same stream as an
+    uninterrupted one.
     """
     ids = _check_tokens(tokens)
     y = np.asarray(labels, dtype=np.int64)
+    lengths = sequence_lengths(ids)
+    pool = SORT_POOL_BATCHES * batch_size
     trace: list[list[float]] = []
     step = start_epoch * max(1, (ids.shape[0] + batch_size - 1) // batch_size)
     for epoch in range(start_epoch, start_epoch + epochs):
         rng = np.random.default_rng((seed, epoch))
         order = rng.permutation(ids.shape[0])
+        for lo in range(0, order.size, pool):
+            part = order[lo:lo + pool]
+            part[:] = part[np.argsort(-lengths[part], kind="stable")]
         class_sum = recon_sum = 0.0
         for lo in range(0, order.size, batch_size):
             sel = order[lo:lo + batch_size]

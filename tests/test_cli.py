@@ -201,6 +201,40 @@ class TestTrainCommand:
         assert ((straight / "checkpoint.tlac").read_bytes()
                 == (resumed / "checkpoint.tlac").read_bytes())
 
+    def test_one_length_corpus_trains_as_the_unsorted_batches_did(self, tmp_path, monkeypatch):
+        # at max_len 6 every synthetic comment has one length, so the stable
+        # length sort leaves each epoch's permutation as it was
+        classifier = {"max_vocab": 200, "min_freq": 1, "embed_dim": 4, "hidden_size": 4,
+                      "num_layers": 2, "dropout": 0.1, "num_classes": 3, "max_len": 6,
+                      "head_hidden": 4}
+        optimizer = {"learning_rate": 0.003, "batch_size": 8, "epochs": 3}
+        config, _ = small_config(tmp_path, model="tla-net", classifier=classifier,
+                                 optimizer=optimizer)
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "sorted")]) == 0
+
+        def unsorted_fit(model, optimizer, tokens, labels, epochs, batch_size, recon_weight,
+                         seed, start_epoch):
+            assert set(M.sequence_lengths(tokens)) == {6}
+            trace, step = [], 0
+            for epoch in range(epochs):
+                rng = np.random.default_rng((seed, epoch))
+                order = rng.permutation(len(tokens))
+                class_sum = recon_sum = 0.0
+                for lo in range(0, order.size, batch_size):
+                    sel = order[lo:lo + batch_size]
+                    step += 1
+                    cl, rl = M.train_step(model, optimizer, tokens[sel], labels[sel],
+                                          recon_weight, rng, step)
+                    class_sum += cl * sel.size
+                    recon_sum += rl * sel.size
+                trace.append([class_sum / order.size, recon_sum / order.size])
+            return trace
+
+        monkeypatch.setattr(M, "fit", unsorted_fit)
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "plain")]) == 0
+        for name in ("loss_trace.json", "checkpoint.tlac"):
+            assert (tmp_path / "sorted" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
     def test_resume_from_v1_checkpoint(self, tmp_path):
         # the fixture was trained one epoch by the per-gate (v1) code, which
         # also recorded the trace of resuming it for a second epoch
@@ -619,6 +653,18 @@ class TestAugmentCommand:
                           "build": ["semi-noisy"]})
         assert cli.main(["augment", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("mapping", ["{not json", "[1, 2]", '{"bangla->english": ["a"]}',
+                                         '{"bangla->english": {"a": 5}}'])
+    def test_malformed_translator_mapping_exit_2(self, tmp_path, capsys, mapping):
+        path = tmp_path / "map.json"
+        path.write_text(mapping)
+        raw = {"train": "builtin:synthetic-train", "test": "builtin:synthetic-test"}
+        config, _ = small_config(tmp_path, augmentation={
+            "raw": {"bangla": raw, "hindi": raw}, "build": ["fully-translated"],
+            "translator": {"kind": "mock", "mapping_path": str(path)}})
+        err = expect_one_line_error(capsys, 2, ["augment", "--config", str(config)])
+        assert "config field 'augmentation.translator.mapping_path':" in err
+
 
 def set_field(raw: dict, path: str, value) -> None:
     """Set ``raw``'s field at a dotted path, making the objects on the way."""
@@ -688,6 +734,14 @@ MALFORMED = [
     (f"{TRANSLATOR}.api_key", 5, f"{TRANSLATOR}.api_key"),
     (f"{TRANSLATOR}.max_retries", "3", f"{TRANSLATOR}.max_retries"),
     (f"{TRANSLATOR}.max_retries", -1, f"{TRANSLATOR}.max_retries"),
+    # keys that no setting declares
+    ("optimiser", {"epochs": 2}, "optimiser"),
+    ("classifier.hiden_size", 8, "classifier.hiden_size"),
+    ("optimizer.lr", 0.1, "optimizer.lr"),
+    ("rejection_head.theta", 0.5, "rejection_head.theta"),
+    ("word2vec.dim", 8, "word2vec.dim"),
+    ("augmentation.noise", 0.1, "augmentation.noise"),
+    (f"{TRANSLATOR}.mapping", "map.json", f"{TRANSLATOR}.mapping"),
 ]
 
 

@@ -345,6 +345,88 @@ class TestTraining:
         assert W.is_rejected(refused)
 
 
+def long_tailed_corpus(n=256, width=32, seed=0):
+    """Comments with log-normal lengths (median 8, clipped to 2-48, cut to
+    ``width``) over ids 1..39, right-padded; row r's first id is unique when
+    ``n`` is below 40."""
+    rng = np.random.default_rng(seed)
+    lengths = np.minimum(np.clip(np.round(rng.lognormal(np.log(8), 0.6, n)), 2, 48), width)
+    ids = rng.integers(1, 40, (n, width)) * (np.arange(width) < lengths[:, None])
+    ids[:, 0] = np.arange(n) % 39 + 1
+    return ids, rng.integers(0, 3, n)
+
+
+class TestLengthBuckets:
+    """``fit`` sorts each pool of ``SORT_POOL_BATCHES`` batches of the epoch's
+    permutation by length before it cuts the batches."""
+
+    def test_each_epoch_partitions_the_examples(self, monkeypatch):
+        ids, labels = long_tailed_corpus(n=37, width=20)
+        lengths = M.sequence_lengths(ids)
+        batches = []
+
+        def record(model, optimizer, tokens, labels, *args):
+            batches.append(np.array(tokens))
+            return 0.0, 0.0
+
+        monkeypatch.setattr(M, "train_step", record)
+        M.fit(None, None, ids, labels, epochs=3, batch_size=4, seed=4)
+        assert len(batches) == 30
+        pool = 4 * M.SORT_POOL_BATCHES  # batches of 4
+        for epoch in range(3):
+            mine = batches[epoch * 10:(epoch + 1) * 10]
+            assert [len(b) for b in mine] == [4] * 9 + [1]
+            rows = (np.concatenate(mine)[:, 0] - 1).tolist()  # a row's first id names it
+            assert sorted(rows) == list(range(37))
+            # each pool holds the permutation's rows, stably sorted longest first
+            order = np.random.default_rng((4, epoch)).permutation(37).tolist()
+            assert rows == [r for lo in range(0, 37, pool)
+                            for r in sorted(order[lo:lo + pool], key=lambda r: -lengths[r])]
+
+    def test_resumed_fit_equals_uninterrupted_on_mixed_lengths(self):
+        ids, labels = long_tailed_corpus(n=48, width=16)
+
+        def model_and_adam():
+            model = M.TlaNet(small_config(vocab_size=40, hidden_size=3, dropout=0.2,
+                                          num_layers=2, max_len=16))
+            return model, optim.Adam([t for _, t in model.named_tensors()], learning_rate=0.01)
+
+        model, adam = model_and_adam()
+        straight = M.fit(model, adam, ids, labels, epochs=3, batch_size=4, seed=6)
+        resumed_model, resumed_adam = model_and_adam()
+        resumed = M.fit(resumed_model, resumed_adam, ids, labels, epochs=1, batch_size=4, seed=6)
+        resumed += M.fit(resumed_model, resumed_adam, ids, labels, epochs=2, batch_size=4,
+                         seed=6, start_epoch=1)
+        assert resumed == straight
+        for (_, a), (_, b) in zip(model.named_tensors(), resumed_model.named_tensors()):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_layer_steps_per_epoch_on_long_tailed_lengths(self, monkeypatch):
+        # 256 comments whose lengths mostly sit far below the 32 they are cut to:
+        # bucketed batches run few pad steps
+        ids, labels = long_tailed_corpus()
+        lstm_layer = T.lstm_layer
+        steps_run = []
+
+        def counting(x, w, u, b, steps=None, last_only=False, lengths=None):
+            steps_run.append(steps if steps is not None else x.shape[0])
+            return lstm_layer(x, w, u, b, steps, last_only, lengths)
+
+        monkeypatch.setattr(T, "lstm_layer", counting)
+
+        def layer_steps():
+            steps_run.clear()
+            model = M.LstmClassifier(small_config(vocab_size=40, hidden_size=2, max_len=32))
+            adam = optim.Adam([t for _, t in model.named_tensors()])
+            M.fit(model, adam, ids, labels, epochs=1, batch_size=32, seed=1)
+            return sum(steps_run)
+
+        bucketed = layer_steps()
+        monkeypatch.setattr(M, "SORT_POOL_BATCHES", 1)
+        unbucketed = layer_steps()
+        assert (bucketed, unbucketed) == (113, 208)
+
+
 KINDS = ("lstm", "bilstm", "lstm-ae", "tla-net")
 
 

@@ -306,6 +306,23 @@ class TestMiscOps:
         assert np.all(table.grad_array[0] == 0.0)
         assert np.all(table.grad_array[1] == 1.0)
 
+    def test_lookup_backward_bits_equal_add_at(self):
+        # repeated ids sum their adjoints in the order np.add.at sums them, signed zeros included
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            table = T.Tensor(rng.standard_normal((7, 5)), requires_grad=True)
+            ids = rng.integers(0, 7, (4, 9))
+            upstream = rng.standard_normal((4, 9, 5))
+            upstream[rng.random(upstream.shape) < 0.3] = -0.0
+            with T.Tape() as tape:
+                out = T.lookup_rows(table, ids, padding_idx=0)
+                loss = T.total_sum(T.mul(out, T.Tensor(upstream)))
+            tape.backward(loss)
+            want = np.zeros((7, 5))
+            np.add.at(want, ids.reshape(-1), upstream.reshape(-1, 5))
+            want[0] = 0.0
+            assert table.grad_array.tobytes() == want.tobytes()
+
     def test_lookup_out_of_range_names_id(self):
         table = T.Tensor(np.ones((4, 2)))
         with pytest.raises(IndexError, match="7"):
